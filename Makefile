@@ -33,16 +33,12 @@ test-obs:
 # The columnar-storage and codegen suites: typed/dictionary encoding units,
 # storage x codegen x tier equivalence sweeps (sharded and unsharded), the
 # zero-codegen_unsupported property gate, and the vectorized-tier units.
-# REPRO_VECTOR_BACKEND=numpy exercises the numpy filter backend when numpy
-# is importable and proves graceful degradation when it is not.
 test-columnar:
 	python -m pytest tests/test_typed_columns.py tests/test_vectorized.py -q
-	REPRO_VECTOR_BACKEND=numpy python -m pytest \
-		tests/test_typed_columns.py tests/test_vectorized.py -q
 
-# The parallel scatter-gather suites: worker-pool units, packed-payload
-# round-trips, the parallel ≡ serial scatter ≡ unsharded equivalence sweep
-# across all three tiers in thread and process pool modes (fallback plans
+# The parallel scatter-gather suites: worker-pool units, the parallel ≡
+# serial scatter ≡ unsharded equivalence sweep across codegen, kernel and
+# interpreted execution in serial and thread pool modes (fallback plans
 # and mid-scatter errors included), sorted-run merging, out-of-order
 # partial-aggregate merging, counter accounting, and the parallel trace
 # breakdown.
@@ -58,8 +54,8 @@ bench-suite:
 	python -m pytest benchmarks/ -q
 
 # Scaled-down benchmark run used by CI (covers every bench entry, including
-# the vectorized-tier ones — scan_filter_vectorized, hash_join_wide_vectorized,
-# aggregate_vectorized — the sharded ones — sharded_point_lookup,
+# the executor ones — scan_filter, hash_join, hash_join_wide, aggregate
+# (vectorized ≡ kernel ≡ interpreted row equality asserted) — the sharded ones — sharded_point_lookup,
 # sharded_scan_filter, sharded_aggregate — and the robustness ones —
 # wal_overhead (recovery equivalence asserted, group-commit delta included)
 # and fault_retry_convergence (faulty ≡ fault-free row equality asserted) —

@@ -1,29 +1,29 @@
-"""Engine performance benchmarks: compiled executor and optimizer wall-clock.
+"""Engine performance benchmarks: executor tiers and optimizer wall-clock.
 
-Run directly (``python benchmarks/bench_engine.py`` or ``make bench``).  Two
-benchmark families are timed:
+Run directly (``python benchmarks/bench_engine.py`` or ``make bench``).  The
+benchmark families timed:
 
-* **Executor microbenchmarks** — scan+filter, hash/index join, and grouped
-  aggregation over a 50k-row orders table, executed once with the interpreted
-  (tree-walking) executor and once with the compiled-expression executor.
-  Row-for-row result equality between the two modes is asserted as part of
-  the run.  The ``*_vectorized`` entries (``scan_filter_vectorized``,
-  ``hash_join_wide_vectorized``, ``aggregate_vectorized``) additionally time
-  the vectorized batch tier on the same plans, reporting its speedup over
-  the interpreted baseline (and over the compiled row tier); vectorized
-  results are asserted row-identical to the interpreted ones.  The
-  ``*_codegen`` entries (``scan_filter_codegen``, ``aggregate_codegen``,
-  ``dict_filter_strings``) time the fused-pipeline codegen path against the
-  batch-kernel path on the same plans (interleaved min-of so allocator
-  drift hits both equally), asserting row equality and that codegen
-  actually served the run; ``dict_filter_strings`` additionally compares a
-  string-equality filter over the dictionary-encoded column against the
-  same filter with strings stored boxed.
+* **Executor microbenchmarks** — scan+filter, projected and full-width hash
+  joins, and grouped aggregation over a 50k-row orders table, executed on
+  the interpreted (tree-walking) tier, on the vectorized tier's batch
+  kernels alone (codegen off), and on the default vectorized tier (fused
+  codegen where the plan is a pipeline spine).  Each entry reports the
+  vectorized speedup over the interpreted baseline and over the kernel
+  path; row-for-row equality across all three is asserted as part of the
+  run.  The ``*_codegen`` entries (``scan_filter_codegen``,
+  ``aggregate_codegen``, ``dict_filter_strings``) time the fused-pipeline
+  codegen path against the batch-kernel path on the same plans
+  (interleaved min-of so allocator drift hits both equally), asserting
+  row equality and that codegen actually served the run;
+  ``dict_filter_strings`` additionally compares a string-equality filter
+  over the dictionary-encoded column against the same filter with
+  strings stored boxed.
 
 * **Prepared-statement point lookups** — the N+1 lazy-load query shape
   (``select * from customers where c_id = ?``) executed over and over with
   changing parameters, once through the pre-prepared-statement client path
-  (parse to execute + parse to estimate, every call) and once through one
+  (parse to execute + parse to estimate, every call, executed on the batch
+  kernels) and once through one
   :class:`repro.db.database.PreparedStatement` (parse once, plan-keyed
   estimate cached, index-backed execution).  Result equality between the two
   paths is asserted.
@@ -127,7 +127,9 @@ DEFAULT_ROWS = 50_000
 REPEATS = 7
 
 
-def build_benchmark_database(rows: int, execution_mode: str = None) -> Database:
+def build_benchmark_database(
+    rows: int, execution_mode: str = "vectorized"
+) -> Database:
     """A deterministic orders/customers database for the microbenchmarks."""
     database = Database(execution_mode=execution_mode)
     database.create_table(
@@ -191,8 +193,7 @@ def executor_plans() -> dict[str, algebra.PlanNode]:
         BinaryOp("=", ColumnRef("o_c_id", "o"), ColumnRef("c_id", "c")),
     )
     # The headline join benchmark projects a few columns, as real queries
-    # do; the compiled engine pipelines the projection through the join.
-    # The full-width join (every bare and qualified column of both sides)
+    # do.  The full-width join (every bare and qualified column of both sides)
     # is tracked separately as hash_join_wide.
     hash_join = algebra.Project(
         join,
@@ -240,69 +241,55 @@ def _best_time(run: Callable[[], object], repeats: int = REPEATS) -> float:
     return best
 
 
-#: Plans also timed on the vectorized batch tier (entry name suffix
-#: ``_vectorized``); ``hash_join_wide`` is the tier's headline number — the
-#: row tiers are bounded there by per-row output-dict construction, which
-#: vectorized execution defers to one late-materialization pass at the root.
-VECTORIZED_PLANS = ("scan_filter", "hash_join_wide", "aggregate")
-
-
 def bench_executor(rows: int) -> dict:
-    """Time every microbenchmark plan in each execution mode.
+    """Time every microbenchmark plan on each execution path.
 
-    All plans run interpreted and compiled; the ``VECTORIZED_PLANS``
-    additionally run on the vectorized tier.  Row-for-row equality across
-    every mode is asserted as part of the run.
+    Every plan runs interpreted, on the batch kernels alone (codegen off)
+    and on the default vectorized tier; kernel and vectorized are timed
+    interleaved.  ``hash_join_wide`` is the vectorized tier's headline
+    number: the row tier is bounded there by per-row output-dict
+    construction, which vectorized execution defers to one
+    late-materialization pass at the root.  Row-for-row equality across
+    the three paths is asserted, as is that the vectorized executor never
+    fell back.
     """
     database = build_benchmark_database(rows)
     interpreted = Executor(database.tables, mode="interpreted")
-    compiled = Executor(database.tables, mode="compiled")
+    kernel = Executor(database.tables, mode="vectorized")
+    kernel._vectorized.codegen_enabled = False
     vectorized = Executor(database.tables, mode="vectorized")
     results: dict = {}
     for name, plan in executor_plans().items():
         reference = interpreted.execute(plan)
-        fast = compiled.execute(plan)
-        if reference != fast:
+        if reference != kernel.execute(plan) or reference != (
+            vectorized.execute(plan)
+        ):
             raise AssertionError(
-                f"compiled and interpreted results differ for {name!r}"
-            )
-        interpreted_s = _best_time(lambda: interpreted.execute(plan))
-        compiled_s = _best_time(lambda: compiled.execute(plan))
-        results[name] = {
-            "output_rows": len(reference),
-            "interpreted_seconds": interpreted_s,
-            "compiled_seconds": compiled_s,
-            "speedup": interpreted_s / compiled_s if compiled_s else None,
-        }
-        if name not in VECTORIZED_PLANS:
-            continue
-        batch = vectorized.execute(plan)
-        if reference != batch:
-            raise AssertionError(
-                f"vectorized and interpreted results differ for {name!r}"
-            )
-        if vectorized.tier_counts["vectorized"] == 0:
-            raise AssertionError(
-                f"plan {name!r} fell back off the vectorized tier"
+                f"vectorized / kernel / interpreted rows differ for {name!r}"
             )
         output_rows = len(reference)
-        # Release the held result sets before timing: ~150k live dicts
+        # Release the held result set before timing: ~150k live dicts
         # otherwise skew the allocator against the timed runs.
-        del reference, fast, batch
-        vectorized_s = _best_time(lambda: vectorized.execute(plan))
-        results[f"{name}_vectorized"] = {
+        del reference
+        interpreted_s = _best_time(lambda: interpreted.execute(plan))
+        timings = _interleaved_best(
+            {
+                "kernel": lambda: kernel.execute(plan),
+                "vectorized": lambda: vectorized.execute(plan),
+            }
+        )
+        vectorized_s = timings["vectorized"]
+        results[name] = {
             "output_rows": output_rows,
             "interpreted_seconds": interpreted_s,
-            "compiled_seconds": compiled_s,
+            "kernel_seconds": timings["kernel"],
             "vectorized_seconds": vectorized_s,
-            # Headline: vectorized over the interpreted baseline, with the
-            # gain over the compiled row tier tracked alongside.
-            "speedup": interpreted_s / vectorized_s if vectorized_s else None,
-            "speedup_vs_compiled": (
-                compiled_s / vectorized_s if vectorized_s else None
-            ),
+            "speedup": interpreted_s / vectorized_s,
+            "speedup_vs_kernel": timings["kernel"] / vectorized_s,
         }
-        vectorized.tier_counts["vectorized"] = 0
+    for executor in (kernel, vectorized):
+        if executor.tier_counts["interpreted"]:
+            raise AssertionError("a plan fell off the vectorized tier")
     return results
 
 
@@ -341,9 +328,8 @@ def bench_codegen(rows: int) -> dict:
     """Fused-pipeline codegen vs the batch-kernel vectorized path.
 
     Both paths run on the vectorized tier over identical tables: the
-    *kernel* executor has codegen disabled (the ``REPRO_VECTOR_CODEGEN=0``
-    escape hatch, applied directly), the *codegen* executor compiles the
-    fused loops.  Row equality against the interpreted tier is asserted,
+    *kernel* executor has codegen disabled, the *codegen* executor compiles
+    the fused loops.  Row equality against the interpreted tier is asserted,
     as is that the codegen executor actually served every run from a
     compiled pipeline.  ``dict_filter_strings`` times a string-equality
     filter whose codegen compares dictionary codes, against the kernel
@@ -444,10 +430,11 @@ def bench_prepared_point_lookup(rows: int) -> dict:
     """
     from repro.db.sqlparser import bind_parameters, parse_sql  # noqa: E402
 
-    # Pinned to the compiled tier: the unprepared runner reproduces the
-    # historical (pre-vectorized) client stack, and the prepared runner's
-    # index-backed fast path never enters the executor anyway.
-    database = build_benchmark_database(rows, execution_mode="compiled")
+    # Pinned to the batch kernels: every unprepared call binds a fresh plan,
+    # which codegen would compile into a new pipeline per distinct key; the
+    # prepared runner's index-backed fast path never enters the executor.
+    database = build_benchmark_database(rows)
+    database._executor._vectorized.codegen_enabled = False
     customers = max(rows // 10, 1)
     sql = "select * from customers where c_id = ?"
     keys = [(i * 7919) % customers for i in range(LOOKUPS)]
@@ -838,15 +825,12 @@ def bench_parallel(rows: int) -> dict:
     ``relative_overhead`` is pool-vs-unsharded — the number the sharding
     tax becomes a speedup on (< 1.0 on a multi-core runner; on a single
     core the thread pool can only break even minus coordination cost).
-    ``BENCH_ENGINE_WORKERS`` sizes the pool (default: CPU count) and
-    ``BENCH_ENGINE_PARALLEL_MODE`` picks ``thread`` (default) or
-    ``process``.
+    ``BENCH_ENGINE_WORKERS`` sizes the thread pool (default: CPU count).
     """
     sharded, unsharded = _build_sharded_pair(rows)
     workers = int(os.environ.get("BENCH_ENGINE_WORKERS", "0")) or (
         os.cpu_count() or 1
     )
-    mode = os.environ.get("BENCH_ENGINE_PARALLEL_MODE", "thread")
     aggregate_plan = algebra.Aggregate(
         algebra.Scan("orders"),
         group_by=(ColumnRef("o_c_id"),),
@@ -868,7 +852,7 @@ def bench_parallel(rows: int) -> dict:
         if _normalized(serial_rows) != _normalized(unsharded_rows):
             raise AssertionError(f"{name}: sharded and unsharded rows differ")
         serial_s = _best_time(lambda plan=plan: sharded._executor.execute(plan))
-        sharded.set_parallel(workers, mode)
+        sharded.set_parallel(workers, "thread")
         parallel_rows = sharded._executor.execute(plan)
         if parallel_rows != serial_rows:
             raise AssertionError(
@@ -884,7 +868,7 @@ def bench_parallel(rows: int) -> dict:
             "output_rows": len(serial_rows),
             "shards": SHARD_COUNT,
             "workers": workers,
-            "mode": mode,
+            "mode": "thread",
             "unsharded_seconds": unsharded_s,
             "serial_seconds": serial_s,
             "parallel_seconds": parallel_s,
@@ -1341,8 +1325,8 @@ TRACING_OVERHEAD_LIMIT = 1.05
 def bench_tracing_overhead(rows: int) -> dict:
     """Cost of structured tracing on the vectorized scan_filter query.
 
-    The scan_filter predicate (the ``scan_filter_vectorized`` microbenchmark
-    shape, as SQL) runs through the full connection path three ways: with no
+    The scan_filter predicate (the ``scan_filter`` microbenchmark shape, as
+    SQL) runs through the full connection path three ways: with no
     tracer configured, with a tracer configured but disabled, and with
     tracing enabled recording one multi-span trace per statement.  Enabled
     tracing must stay within ``TRACING_OVERHEAD_LIMIT`` (5%) of the

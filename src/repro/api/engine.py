@@ -106,7 +106,6 @@ class EngineBuilder:
         self._admission: Optional[AdmissionController] = None
         self._tracing: Optional[dict] = None
         self._slow_query_threshold: Optional[float] = None
-        self._vector_backend: Optional[str] = None
         self._parallel: Optional[tuple[Optional[int], str]] = None
 
     # -- data sources ----------------------------------------------------
@@ -319,28 +318,15 @@ class EngineBuilder:
         self._retries = policy
         return self
 
-    def vector_backend(self, backend: str) -> "EngineBuilder":
-        """Filter-kernel backend for the vectorized tier.
-
-        ``"numpy"`` evaluates supported filter conjuncts as numpy mask
-        operations over the typed column sidecars; it degrades gracefully
-        to ``"python"`` when numpy is not importable (the backend is an
-        accelerator, never a dependency).  Overrides the
-        ``REPRO_VECTOR_BACKEND`` environment default.
-        """
-        self._vector_backend = backend
-        return self
-
     def parallel(
         self, workers: Optional[int] = None, mode: str = "thread"
     ) -> "EngineBuilder":
         """Parallel scatter-gather over shards on a worker pool.
 
         ``mode`` selects ``"thread"`` (shared-memory worker threads, the
-        default), ``"process"`` (worker processes fed pickled
-        ColumnBatches built on the typed column sidecars), or ``"serial"``
-        (the sequential baseline).  ``workers=None`` sizes the pool to the
-        CPU count.  Composes with :meth:`shards`::
+        default) or ``"serial"`` (the sequential baseline).
+        ``workers=None`` sizes the pool to the CPU count.  Composes with
+        :meth:`shards`::
 
             engine = (
                 Engine.builder()
@@ -374,10 +360,6 @@ class EngineBuilder:
         if self._amortization != 1.0:
             parameters = parameters.with_amortization(self._amortization)
         database = self._database if self._database is not None else Database()
-        if self._vector_backend is not None:
-            # Before sharding: shard-local executors are built with the
-            # database executor's backend, so the order matters.
-            database.set_vector_backend(self._vector_backend)
         if self._shards is not None:
             count, key_by = self._shards
             if key_by is None:
@@ -622,7 +604,7 @@ class Engine:
         self._closed = True
         for connection in self._connections:
             connection.close()
-        # Worker threads/processes are the one engine-scoped resource the
+        # Worker threads are the one engine-scoped resource the
         # database holds; the pool re-creates them lazily if another engine
         # keeps issuing parallel scatters against the same database.
         self.database.close_parallel()
@@ -659,7 +641,7 @@ class Engine:
         counters of every connection this engine handed out (including the
         shared default connection), plus the server-side executed-query
         count and the executor's per-tier execution counters (vectorized /
-        compiled / interpreted).  Surfaced by ``repro.cli --stats``.
+        interpreted).  Surfaced by ``repro.cli --stats``.
         """
         cache = self.database.statement_cache
         retired = self._retired_stats

@@ -93,12 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     optimize.add_argument(
-        "--parallel-mode",
-        choices=["thread", "process"],
-        default="thread",
-        help="worker pool flavor for --workers",
-    )
-    optimize.add_argument(
         "--show-alternatives",
         action="store_true",
         help="print every alternative of every region with its estimated cost",
@@ -228,9 +222,7 @@ def _build_engine(args: argparse.Namespace) -> Engine:
     if getattr(args, "shards", 0):
         builder.shards(args.shards)
     if getattr(args, "workers", 0):
-        builder.parallel(
-            args.workers, getattr(args, "parallel_mode", "thread")
-        )
+        builder.parallel(args.workers)
     if getattr(args, "wal", False):
         builder.wal()
     if getattr(args, "mvcc", False):

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
 from repro.db import algebra
-from repro.db.executor import Executor, _FusedScan
+from repro.db.executor import Executor
 from repro.db.expressions import BinaryOp, ColumnRef, Literal
 from repro.db.schema import Column, ForeignKey, Schema, TableSchema
 from repro.db.sqlgen import to_sql
@@ -66,7 +66,7 @@ from repro.db.sharding import (
 )
 from repro.db.mvcc import MvccManager, MvccTransaction, Snapshot
 from repro.db.statistics import StatisticsCatalog, TableStatistics
-from repro.db.table import Row, Table
+from repro.db.table import Row, Table, scan_row_maker
 from repro.db.wal import (
     AbortRecord,
     CommitRecord,
@@ -145,13 +145,13 @@ class _PointLookup:
 
     Prepared at plan-compilation time; executes through the table's lazy
     secondary hash index (:meth:`repro.db.table.Table.index_for`) instead of
-    scanning.  Output rows are materialised by the executor's own
-    :class:`~repro.db.executor._FusedScan` (the exact ``bare +
-    alias.column`` layout every scan produces), so the fast path cannot
-    drift from the generic path's row shape.
+    scanning.  Output rows are built by :func:`~repro.db.table.
+    scan_row_maker` (the ``bare + alias.column`` layout every scan
+    produces), so the fast path cannot drift from the generic path's row
+    shape.
     """
 
-    __slots__ = ("table", "column", "value", "_fused", "_router")
+    __slots__ = ("table", "column", "value", "_make_row", "_router")
 
     def __init__(
         self,
@@ -166,7 +166,7 @@ class _PointLookup:
         self.column = column
         #: a :class:`Parameter` (bound per execution) or a constant.
         self.value = value
-        self._fused = _FusedScan(storage, alias, [])
+        self._make_row = scan_row_maker(storage.schema, alias)
         self._router = router
 
     def rows(self, table: Table, params: Sequence[Any]) -> Optional[list[Row]]:
@@ -203,7 +203,7 @@ class _PointLookup:
             else:
                 self._router.stats.fallback += 1
                 self._router.last_route = {"kind": "fallback", "shards": None}
-        return [self._fused.materialize(row) for row in bucket]
+        return list(map(self._make_row, bucket))
 
 
 class PreparedStatement:
@@ -220,13 +220,11 @@ class PreparedStatement:
     :class:`repro.db.expressions.ParameterSlot` reading the statement's
     mutable parameter buffer, so executing with fresh parameters writes the
     buffer and re-runs the *same* template object — no per-call plan
-    substitution, and the executor's expression-compile caches hit on every
-    execution.  This extends the prepared fast path to arbitrary
+    substitution.  This extends the prepared fast path to arbitrary
     parameterized statement shapes, not just point lookups.  Because the
-    template plan object is stable, the executor caches the statement's
-    *vectorized* lowering right next to its compiled closures (both keyed
-    by the plan), so slot-compiled statements replay on the vectorized tier
-    with zero per-call lowering as well.
+    template plan object is stable, the vectorized tier's lowered-plan and
+    fused-pipeline caches (keyed by the plan) hit on every execution, so
+    slot-compiled statements replay with zero per-call lowering.
 
     Cached estimates revalidate lazily against the database's statistics
     generation and the versions of every referenced table, so ``analyze()``
@@ -317,7 +315,7 @@ class PreparedStatement:
 
         Parameters are written into the statement's slot buffer and the
         pre-built slotted plan template runs directly: no per-call plan
-        rebuild, and the executor's compile caches hit because the template
+        rebuild, and the executor's plan caches hit because the template
         object is identical across executions.
         """
         if self.plan is None:
@@ -325,21 +323,8 @@ class PreparedStatement:
                 f"prepared UPDATE cannot be executed as a query: {self.sql!r}"
             )
         database = self.database
-        mvcc = database._mvcc
-        # Reads run against the ambient context's snapshot view when MVCC
-        # is on; the live executor otherwise.  The index-backed point-lookup
-        # fast path probes live storage, so it only runs when the context's
-        # snapshot *is* the live state (the common no-concurrency case).
-        executor = (
-            database._executor
-            if mvcc is None
-            else mvcc.executor_for(database._txn)
-        )
-        if (
-            self.point_lookup is not None
-            and database.compiled_execution
-            and executor is database._executor
-        ):
+        executor = self.read_executor()
+        if self.uses_point_lookup(executor):
             table = database.tables.get(self.point_lookup.table)
             if table is not None:
                 router = database._router
@@ -370,6 +355,34 @@ class PreparedStatement:
             executor.router.last_route if executor.router is not None else None
         )
         return QueryResult(rows=rows, row_width=self.row_width(), sql=self.sql)
+
+    def read_executor(self) -> Executor:
+        """The executor a read through this statement runs on right now.
+
+        With MVCC on, reads run against the ambient context's snapshot
+        view (the live executor whenever that snapshot *is* the live
+        state); the live executor otherwise.
+        """
+        database = self.database
+        mvcc = database._mvcc
+        if mvcc is None:
+            return database._executor
+        return mvcc.executor_for(database._txn)
+
+    def uses_point_lookup(self, executor: Executor) -> bool:
+        """Whether a read on ``executor`` takes the point-lookup fast path.
+
+        The index-backed fast path probes live storage, so it needs a
+        point-lookup shape, the live executor (no MVCC snapshot that
+        differs from the live state), and a non-interpreted execution mode
+        (the interpreted oracle never takes shortcuts).  :meth:`execute`
+        and EXPLAIN's tier prediction share this test.
+        """
+        return (
+            self.point_lookup is not None
+            and executor is self.database._executor
+            and executor.mode != "interpreted"
+        )
 
     def execute_update(self, params: Sequence[Any] = ()) -> int:
         """Execute the prepared UPDATE; returns the number of rows changed.
@@ -645,10 +658,8 @@ class Database:
         self,
         server_row_cost: float = DEFAULT_SERVER_ROW_COST,
         *,
-        compiled_execution: bool = True,
         statement_cache_size: int = DEFAULT_STATEMENT_CACHE_SIZE,
-        execution_mode: Optional[str] = None,
-        vector_backend: Optional[str] = None,
+        execution_mode: str = "vectorized",
         wal: Any = None,
         mvcc: bool = False,
     ) -> None:
@@ -656,18 +667,7 @@ class Database:
         self.tables: dict[str, Table] = {}
         self.statistics = StatisticsCatalog(self.schema)
         self.server_row_cost = server_row_cost
-        if execution_mode is not None:
-            # An explicit mode wins over the legacy compiled flag; the
-            # point-lookup fast path follows it (enabled unless the
-            # database is fully interpreted).
-            compiled_execution = execution_mode != "interpreted"
-        self.compiled_execution = compiled_execution
-        self._executor = Executor(
-            self.tables,
-            compiled=compiled_execution,
-            mode=execution_mode,
-            vector_backend=vector_backend,
-        )
+        self._executor = Executor(self.tables, mode=execution_mode)
         self.queries_executed = 0
         #: set once a table is sharded; consulted by the executor before
         #: normal execution and by the point-lookup fast path.
@@ -735,14 +735,14 @@ class Database:
         table = Table(schema)
         self.tables[name] = table
         self._finish_autocommit(ddl_txn)
-        # DDL: plans compiled against the old schema may now resolve
+        # DDL: plans prepared against the old schema may now resolve
         # differently (and their fast-path analysis is stale), so the whole
-        # statement cache is dropped, along with the executor's
-        # resolver-context closures (keyed by table object identity).
+        # statement cache is dropped, along with the executor's lowered
+        # pipelines (which close over table objects).
         self.schema_generation += 1
         self.stats_generation += 1
         self.invalidate_statements()
-        self._executor.invalidate_context_cache()
+        self._executor.invalidate_caches()
         if self._router is not None:
             self._router.invalidate()
         return table
@@ -783,13 +783,9 @@ class Database:
         self.schema_generation += 1
         self.stats_generation += 1
         self.invalidate_statements()
-        self._executor.invalidate_context_cache()
+        self._executor.invalidate_caches()
         if self._router is None:
-            self._router = ShardRouter(
-                self.tables,
-                mode=self._executor.mode,
-                vector_backend=self._executor.vector_backend,
-            )
+            self._router = ShardRouter(self.tables, mode=self._executor.mode)
             self._executor.router = self._router
             if self._parallel_config is not None:
                 self._router.set_parallel(*self._parallel_config)
@@ -1393,21 +1389,8 @@ class Database:
 
     @property
     def execution_mode(self) -> str:
-        """The executor's tier selection: vectorized/compiled/interpreted."""
+        """The executor's tier selection: vectorized/interpreted."""
         return self._executor.mode
-
-    def set_vector_backend(self, backend: Optional[str]) -> None:
-        """Select the vectorized tier's filter backend ("python"/"numpy").
-
-        A ``numpy`` request degrades gracefully to pure Python when numpy
-        is not importable.  Rebuilds the vectorized executor and, under
-        sharding, the per-shard executors, so their kernels agree on the
-        backend.
-        """
-        self._executor.set_vector_backend(backend)
-        if self._router is not None:
-            self._router._vector_backend = backend
-            self._router.invalidate()
 
     def set_parallel(
         self, workers: Optional[int] = None, mode: str = "thread"
@@ -1415,10 +1398,9 @@ class Database:
         """Configure parallel scatter-gather execution.
 
         ``mode`` is ``"thread"`` (shared-memory worker threads, the
-        default), ``"process"`` (worker processes fed pickled
-        ColumnBatches), or ``"serial"`` (the sequential baseline — no
-        pool).  ``workers=None`` sizes the pool to the CPU count.  Takes
-        effect immediately when sharding is already enabled, otherwise
+        default) or ``"serial"`` (the sequential baseline — no pool).
+        ``workers=None`` sizes the pool to the CPU count.  Takes effect
+        immediately when sharding is already enabled, otherwise
         when the first table is sharded; reconfiguring shuts the previous
         pool down first.
         """
@@ -1458,16 +1440,9 @@ class Database:
             merge_execution_counters(
                 tiers, vectorized, shard_tiers, shard_vectorized
             )
-        # Non-summable annotations ride above the counter merge: the filter
-        # backend names and a census of column encodings across the
-        # currently-built columnar views (empty for never-scanned tables).
-        if executor._vectorized is not None:
-            vectorized["backend"] = {
-                "requested": executor._vectorized.backend_requested,
-                "active": executor._vectorized.backend,
-            }
-        else:
-            vectorized["backend"] = {"requested": None, "active": None}
+        # A non-summable annotation rides above the counter merge: a census
+        # of column encodings across the currently-built columnar views
+        # (empty for never-scanned tables).
         encodings: dict[str, int] = {}
         for table in self.tables.values():
             # Sharded tables scan their partitions, not the aggregate view,

@@ -11,10 +11,11 @@ works on both base-table rows and join-output rows.
 
 Besides the tree-walking :meth:`Expression.evaluate` interpreter, every node
 supports :meth:`Expression.compile`, which lowers the tree once into a plain
-Python closure ``row -> value``.  The executor compiles each expression once
-per operator and calls the closure per row, avoiding the per-row dispatch and
-attribute lookups of the interpreter while producing byte-identical results
-(including NULL semantics, qualified/unqualified fallback, and errors).
+Python closure ``row -> value``.  Prepared UPDATEs and the sharding layer's
+gather-side transforms compile their expressions once and call the closure
+per row, avoiding the per-row dispatch and attribute lookups of the
+interpreter while producing byte-identical results (including NULL
+semantics, qualified/unqualified fallback, and errors).
 
 For the vectorized executor (:mod:`repro.db.vectorized`), nodes additionally
 support :meth:`Expression.compile_batch`, which lowers the tree once into a
@@ -22,12 +23,12 @@ support :meth:`Expression.compile_batch`, which lowers the tree once into a
 over every row of a column batch, looping in comprehension form over whole
 column arrays instead of dispatching per row.  ``compile_batch`` returns
 ``None`` for node types outside the vectorizable subset, which tells the
-executor to fall back to the compiled (row-closure) tier for that subtree.
+executor to fall back to the interpreted (row) tier for that subtree.
 Kernels preserve the interpreter's value semantics exactly (NULL handling,
 scalar folding of literals and parameter slots); evaluation-order-dependent
 *error* behaviour (e.g. a division that a short-circuited AND would have
 skipped) is preserved by the executor, which re-runs the query on the
-compiled tier whenever a kernel raises.
+interpreted tier whenever a kernel raises.
 """
 
 from __future__ import annotations
@@ -40,11 +41,6 @@ Row = Mapping[str, Any]
 
 #: A compiled expression: a closure evaluating one row.
 CompiledExpression = Callable[[Row], Any]
-
-#: A column resolver lets callers that know the row layout supply a direct
-#: getter for a column reference; returning ``None`` falls back to the
-#: generic qualified/bare/suffix resolution of :meth:`ColumnRef.evaluate`.
-ColumnResolver = Callable[["ColumnRef"], Optional[CompiledExpression]]
 
 #: A batch kernel: evaluates an expression over every row of a column batch
 #: (any object with a ``length`` attribute and column-array access supplied
@@ -68,7 +64,7 @@ class Expression:
         """Evaluate this expression against ``row``."""
         raise NotImplementedError
 
-    def compile(self, resolver: ColumnResolver | None = None) -> CompiledExpression:
+    def compile(self) -> CompiledExpression:
         """Lower the expression to a closure ``row -> value``.
 
         The closure must agree exactly with :meth:`evaluate` on every row,
@@ -107,7 +103,7 @@ class Literal(Expression):
     def evaluate(self, row: Row) -> Any:
         return self.value
 
-    def compile(self, resolver: ColumnResolver | None = None) -> CompiledExpression:
+    def compile(self) -> CompiledExpression:
         value = self.value
         return lambda row: value
 
@@ -165,11 +161,7 @@ class ColumnRef(Expression):
             f"{sorted(row)}"
         )
 
-    def compile(self, resolver: ColumnResolver | None = None) -> CompiledExpression:
-        if resolver is not None:
-            getter = resolver(self)
-            if getter is not None:
-                return getter
+    def compile(self) -> CompiledExpression:
         # Fast path: direct key lookups; the interpreter handles the rare
         # suffix-fallback and error cases so the semantics stay identical.
         name = self.name
@@ -241,7 +233,7 @@ class ParameterSlot(Expression):
     def evaluate(self, row: Row) -> Any:
         return self.slots[self.index]
 
-    def compile(self, resolver: ColumnResolver | None = None) -> CompiledExpression:
+    def compile(self) -> CompiledExpression:
         slots = self.slots
         index = self.index
         return lambda row: slots[index]
@@ -340,13 +332,13 @@ class BinaryOp(Expression):
             return None if self.op in {"+", "-", "*", "/", "%"} else False
         return _BINARY_OPS[self.op](left, right)
 
-    def compile(self, resolver: ColumnResolver | None = None) -> CompiledExpression:
+    def compile(self) -> CompiledExpression:
         func = _BINARY_OPS[self.op]
         null_result = None if self.op in _ARITHMETIC_OPS else False
         # Fold literal operands into the closure: the common
         # ``column <op> constant`` shape then costs one lookup per row.
         if isinstance(self.right, Literal) and self.right.value is not None:
-            left = self.left.compile(resolver)
+            left = self.left.compile()
             rhs_const = self.right.value
 
             def run(row: Row) -> Any:
@@ -357,7 +349,7 @@ class BinaryOp(Expression):
 
             return run
         if isinstance(self.left, Literal) and self.left.value is not None:
-            right = self.right.compile(resolver)
+            right = self.right.compile()
             lhs_const = self.left.value
 
             def run(row: Row) -> Any:
@@ -367,8 +359,8 @@ class BinaryOp(Expression):
                 return func(lhs_const, rhs)
 
             return run
-        left = self.left.compile(resolver)
-        right = self.right.compile(resolver)
+        left = self.left.compile()
+        right = self.right.compile()
 
         def run(row: Row) -> Any:
             lhs = left(row)
@@ -472,8 +464,8 @@ class BooleanOp(Expression):
         values = (bool(o.evaluate(row)) for o in self.operands)
         return all(values) if self.op == "and" else any(values)
 
-    def compile(self, resolver: ColumnResolver | None = None) -> CompiledExpression:
-        operands = tuple(o.compile(resolver) for o in self.operands)
+    def compile(self) -> CompiledExpression:
+        operands = tuple(o.compile() for o in self.operands)
         if self.op == "and":
 
             def run(row: Row) -> bool:
@@ -542,8 +534,8 @@ class Not(Expression):
     def evaluate(self, row: Row) -> Any:
         return not bool(self.operand.evaluate(row))
 
-    def compile(self, resolver: ColumnResolver | None = None) -> CompiledExpression:
-        operand = self.operand.compile(resolver)
+    def compile(self) -> CompiledExpression:
+        operand = self.operand.compile()
         return lambda row: not operand(row)
 
     def compile_batch(
@@ -572,8 +564,8 @@ class IsNull(Expression):
         is_null = self.operand.evaluate(row) is None
         return not is_null if self.negated else is_null
 
-    def compile(self, resolver: ColumnResolver | None = None) -> CompiledExpression:
-        operand = self.operand.compile(resolver)
+    def compile(self) -> CompiledExpression:
+        operand = self.operand.compile()
         if self.negated:
             return lambda row: operand(row) is not None
         return lambda row: operand(row) is None
@@ -606,8 +598,8 @@ class InList(Expression):
     def evaluate(self, row: Row) -> Any:
         return self.operand.evaluate(row) in self.values
 
-    def compile(self, resolver: ColumnResolver | None = None) -> CompiledExpression:
-        operand = self.operand.compile(resolver)
+    def compile(self) -> CompiledExpression:
+        operand = self.operand.compile()
         original = self.values
         try:
             values = frozenset(original)
@@ -681,13 +673,13 @@ class FunctionCall(Expression):
             raise ExpressionError(f"unknown scalar function {self.name!r}")
         return func(*(a.evaluate(row) for a in self.args))
 
-    def compile(self, resolver: ColumnResolver | None = None) -> CompiledExpression:
+    def compile(self) -> CompiledExpression:
         func = _SCALAR_FUNCTIONS.get(self.name.lower())
         if func is None:
             # Defer the "unknown function" error to call time, matching the
             # interpreter (which only fails once a row is evaluated).
             return self.evaluate
-        args = tuple(a.compile(resolver) for a in self.args)
+        args = tuple(a.compile() for a in self.args)
         return lambda row: func(*(a(row) for a in args))
 
     def compile_batch(
@@ -695,8 +687,8 @@ class FunctionCall(Expression):
     ) -> Optional[BatchKernel]:
         func = _SCALAR_FUNCTIONS.get(self.name.lower())
         if func is None:
-            # No lowering: the caller falls back to the row tiers, which
-            # surface the unknown-function error at evaluation time.
+            # No lowering: the caller falls back to the row tier, which
+            # surfaces the unknown-function error at evaluation time.
             return None
         kernels = []
         for arg in self.args:
@@ -746,10 +738,3 @@ def conjunction(predicates: Sequence[Expression]) -> Expression | None:
 def equals(column: str, value: Any, qualifier: str | None = None) -> BinaryOp:
     """Convenience constructor for ``column = value`` predicates."""
     return BinaryOp("=", ColumnRef(column, qualifier), Literal(value))
-
-
-def compile_expression(
-    expression: Expression, resolver: ColumnResolver | None = None
-) -> CompiledExpression:
-    """Compile ``expression`` to a closure (see :meth:`Expression.compile`)."""
-    return expression.compile(resolver)

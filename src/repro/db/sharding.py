@@ -7,7 +7,7 @@ This module makes partitioned storage a first-class layer of the engine:
   subclasses ``Table``, so the aggregate view (rows in global insertion
   order, primary-key index, secondary indexes, columnar view, distinct
   counts) behaves exactly like an unsharded table — unrouted plans execute
-  identically on all three tiers — while the shard partitions *share the
+  identically on both tiers — while the shard partitions *share the
   stored row dicts* with the aggregate view, so in-place updates are visible
   everywhere without copying.
 
@@ -35,8 +35,7 @@ This module makes partitioned storage a first-class layer of the engine:
     order.  On the vectorized tier the gather ships
     :class:`~repro.db.vectorized.ColumnBatch` objects (selection vectors
     composed per shard) and materializes rows only once, at the root; the
-    compiled tier chains per-shard fused iterators; the interpreted tier
-    concatenates per-shard row lists.
+    interpreted tier concatenates per-shard row lists.
 
   Plans the router cannot prove distributable (``Limit``, non-co-partitioned
   joins of two sharded tables, operators over sharded subtrees it cannot
@@ -47,7 +46,7 @@ This module makes partitioned storage a first-class layer of the engine:
 Ordering contract: routed and fallback executions are row-identical to the
 unsharded engine *including order*.  Scatter-gather and partial-aggregate
 merges concatenate in shard order, so their output is deterministic and
-identical across the three tiers, and matches unsharded execution up to
+identical across the two tiers, and matches unsharded execution up to
 row order (exactly, after a ``Sort`` whose keys are total; up to ties
 otherwise — the usual distributed-engine contract).  Floating-point sums
 may likewise differ in the last ulp because per-shard partials reassociate
@@ -56,9 +55,7 @@ the addition.
 
 from __future__ import annotations
 
-import pickle
 from collections import OrderedDict
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.db import algebra
@@ -76,20 +73,14 @@ from repro.db.expressions import (
     Literal,
     ParameterSlot,
 )
-from repro.db.parallel import (
-    ShardExecutorPool,
-    fold_worker_counters,
-    pack_table,
-)
+from repro.db.parallel import ShardExecutorPool
 from repro.db.schema import TableSchema
 from repro.db.table import Row, Table
 from repro.db.vectorized import (
     AGGREGATE_MERGERS,
-    batch_output_rows,
     finalize_avg,
     gather_batches,
     merge_sorted_runs,
-    unpack_batch,
 )
 
 
@@ -476,21 +467,15 @@ class ShardRouter:
     and keeps its normal (aggregate-view) path for everything the router
     declines.  Per-shard execution runs on cached shard executors — one
     per (substituted tables, shard index) — in the same tier mode as the
-    main executor, so all three tiers participate in routing.
+    main executor, so both tiers participate in routing.
     """
 
     #: Cached routing decisions kept before LRU eviction.
     ROUTE_CACHE_LIMIT = 256
 
-    def __init__(
-        self,
-        tables: Mapping[str, Table],
-        mode: str,
-        vector_backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self, tables: Mapping[str, Table], mode: str) -> None:
         self._tables = tables
         self._mode = mode
-        self._vector_backend = vector_backend
         #: plan -> _Route, LRU-evicted (plans embed query literals).
         self._routes: OrderedDict[algebra.PlanNode, _Route] = OrderedDict()
         #: (frozenset of substituted names, shard index) -> Executor.
@@ -500,14 +485,13 @@ class ShardRouter:
         #: invalidate(), folded so execution_counters() stays complete.
         self._retired_tiers: dict[str, int] = {
             "vectorized": 0,
-            "compiled": 0,
             "interpreted": 0,
         }
         self._retired_vectorized: dict[str, Any] = _zero_vectorized_counters()
         #: per-call markers for tracing / EXPLAIN: how the most recent
         #: try_execute dispatched (``None`` for not-sharded plans), which
         #: tier served it, the vectorized fallback reason if any, and the
-        #: concrete execution path ("codegen" / "kernel" / row tier name).
+        #: concrete execution path ("codegen" / "kernel" / "interpreted").
         self.last_route: Optional[dict] = None
         self.last_tier: Optional[str] = None
         self.last_fallback_reason: Optional[str] = None
@@ -672,7 +656,7 @@ class ShardRouter:
         return tiers, vectorized
 
     def _sum_live_counters(self) -> tuple[dict[str, int], dict[str, Any]]:
-        tiers = {"vectorized": 0, "compiled": 0, "interpreted": 0}
+        tiers = {"vectorized": 0, "interpreted": 0}
         vectorized = _zero_vectorized_counters()
         for executor in self._executors.values():
             merge_execution_counters(
@@ -707,9 +691,7 @@ class ShardRouter:
                 )
                 for name, table in self._tables.items()
             }
-            executor = Executor(
-                overlay, mode=self._mode, vector_backend=self._vector_backend
-            )
+            executor = Executor(overlay, mode=self._mode)
             self._executors[key] = executor
         return executor
 
@@ -731,23 +713,17 @@ class ShardRouter:
                 self.last_fallback_reason = None
                 self.last_execution_path = "kernel"
                 return rows
-        if self._mode == "interpreted":
-            self.last_tier = "interpreted"
+        else:
             self.last_fallback_reason = None
-            self.last_execution_path = "interpreted"
-            return [
-                row
-                for executor in executors
-                for row in executor.execute(node)
-            ]
-        # Compiled (and the vectorized row-fallback): chain the per-shard
-        # fused iterators lazily; the gather materializes one output list.
-        self.last_tier = "compiled"
-        self.last_execution_path = "compiled"
+        # The interpreted tier, and the vectorized tier's row fallback (the
+        # batch attempt above already counted it): concatenate per-shard
+        # row lists.
+        self.last_tier = "interpreted"
+        self.last_execution_path = "interpreted"
         gathered: list[Row] = []
         for executor in executors:
             gathered.extend(executor._execute(node))
-            executor.tier_counts["compiled"] += 1
+            executor.tier_counts["interpreted"] += 1
         return gathered
 
     def _scatter_codegen(
@@ -781,7 +757,7 @@ class ShardRouter:
         materialize rows exactly once at the gather root.
 
         Returns ``None`` when any shard has no vectorized lowering or a
-        kernel errors (the row-tier scatter takes over), mirroring the
+        kernel errors (the interpreted scatter takes over), mirroring the
         single-node tier's fallback contract.
         """
         batches = []
@@ -825,20 +801,13 @@ class ShardRouter:
     ) -> list[tuple[int, list[Row]]]:
         """Execute ``node`` on every shard concurrently on the pool.
 
-        Returns ``(shard index, rows)`` pairs in shard order.  Thread mode
-        runs each shard's full executor dispatch (so every tier, fallback,
+        Returns ``(shard index, rows)`` pairs in shard order.  Each task
+        runs its shard's full executor dispatch, so every tier, fallback,
         and counter behaves exactly as its serial per-shard execution
-        would); process mode ships the plan + packed column payloads to
-        worker processes and degrades to the thread path when the plan or
-        a payload refuses to pickle or the pool breaks.
+        would.
         """
         pool = self._pool
         assert pool is not None
-        if pool.mode == "process":
-            indexed = self._process_scatter(node, names, count)
-            if indexed is not None:
-                return indexed
-            pool.degraded += 1
         executors = [self._shard_executor(names, i) for i in range(count)]
         tasks = [
             (lambda executor=executor: executor.execute(node))
@@ -865,91 +834,14 @@ class ShardRouter:
         )
         return list(enumerate(results))
 
-    def _process_scatter(
-        self, node: algebra.PlanNode, names: frozenset[str], count: int
-    ) -> Optional[list[tuple[int, list[Row]]]]:
-        """Process-pool scatter; ``None`` degrades to the thread path.
-
-        Shard data ships as packed typed/dictionary column buffers keyed
-        by ``(table, shard, version)`` — workers cache them, so steady
-        state ships only the (cached) plan blob.  Results come back as
-        pickled ColumnBatches; executor counter deltas from the workers
-        fold into the parent-side shard executors so
-        ``execution_stats()`` stays complete.
-        """
-        pool = self._pool
-        assert pool is not None
-        try:
-            plan_blob = pickle.dumps(node, pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            return None
-        scans = sorted({scan.table for scan in algebra.find_scans(node)})
-        requests = []
-        for index in range(count):
-            keys = []
-            for name in scans:
-                table = self._tables[name]
-                if name in names and isinstance(table, ShardedTable):
-                    keys.append(
-                        ((name, index, table.shards[index].version), None)
-                    )
-                else:
-                    keys.append(((name, -1, table.version), None))
-            requests.append(
-                {
-                    "plan": plan_blob,
-                    "mode": self._mode,
-                    "backend": self._vector_backend,
-                    "tables": keys,
-                }
-            )
-
-        def provide(key: tuple) -> tuple:
-            name, shard, _version = key
-            table = self._tables[name]
-            if shard >= 0:
-                table = table.shards[shard]  # type: ignore[union-attr]
-            return pack_table(table)
-
-        sent_before = pool.pickle_bytes_sent
-        received_before = pool.pickle_bytes_received
-        try:
-            responses, seconds = pool.run_process_requests(requests, provide)
-        except (pickle.PicklingError, BrokenProcessPool):
-            return None
-        pool.note_scatter(seconds)
-        self.last_parallel = {
-            "mode": pool.mode,
-            "workers": pool.workers,
-            "shards": count,
-            "shard_seconds": tuple(seconds),
-            "elapsed": max(seconds, default=0.0),
-            "pickle_bytes": {
-                "sent": pool.pickle_bytes_sent - sent_before,
-                "received": pool.pickle_bytes_received - received_before,
-            },
-        }
-        indexed: list[tuple[int, list[Row]]] = []
-        markers = []
-        for index, response in enumerate(responses):
-            rows = batch_output_rows(unpack_batch(response["result"]))
-            executor = self._shard_executor(names, index)
-            fold_worker_counters(
-                executor, response["tiers"], response["vectorized"]
-            )
-            markers.append(response["last"])
-            indexed.append((index, rows))
-        self._fold_markers(markers)
-        return indexed
-
     def _fold_markers(self, markers: list[tuple]) -> None:
         """Fold per-shard (tier, path, reason) markers into the route's.
 
         All-vectorized scatters report the vectorized tier (``codegen``
         only when every shard ran codegen, like the serial all-or-nothing
-        rule); otherwise the first shard that fell to a row tier names the
-        tier and fallback reason, mirroring the serial row-fallback
-        marker.
+        rule); otherwise the first shard that fell to the interpreted tier
+        names the tier and fallback reason, mirroring the serial
+        row-fallback marker.
         """
         if not markers:
             return
@@ -1041,9 +933,9 @@ class ShardRouter:
         """Row-list transforms for a Select/Project/Sort spine, in
         application (innermost-first) order.
 
-        Expressions compile without a resolver, which is exactly how the
-        tiers evaluate them over materialized aggregate output rows, so
-        spine semantics (including errors) cannot diverge.
+        Compiled expressions agree exactly with ``Expression.evaluate``,
+        which is how the tiers evaluate them over materialized aggregate
+        output rows, so spine semantics (including errors) cannot diverge.
         """
         transforms: list[Callable[[list[Row]], list[Row]]] = []
         for node in reversed(spine):
@@ -1362,7 +1254,7 @@ def _row_preserving_path(nodes: Sequence[algebra.PlanNode]) -> bool:
 #: The summable int counters of a vectorized-stats dict; everything the
 #: executor reports beyond these must be mergeable as fallback_reasons is,
 #: or attached above the merge (Database.execution_stats does the latter
-#: for the backend names and column-encoding census).
+#: for the column-encoding census).
 VECTORIZED_COUNTER_KEYS = (
     "executions",
     "codegen_executions",

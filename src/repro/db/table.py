@@ -3,15 +3,15 @@
 Rows are stored as plain dictionaries mapping column name to value.  A
 :class:`Table` owns its schema, validates inserted rows, and maintains an
 optional hash index on the primary key for point lookups (used by the ORM
-substrate for lazy loads and by the executor for indexed joins).
+substrate for lazy loads).
 
 Beyond the primary-key index, tables maintain *lazy secondary hash indexes*
 (:meth:`Table.index_for`) mapping a column value to the list of rows holding
 it, and cache per-column distinct counts.  Both are built on first use and
 invalidated whenever the table mutates (insert, update, clear), tracked by a
-monotonically increasing :attr:`Table.version`.  The executor uses secondary
-indexes for index-nested-loop joins and hash-join build sides; the statistics
-catalog uses the cached distinct counts.
+monotonically increasing :attr:`Table.version`.  The prepared point-lookup
+fast path probes secondary indexes; the statistics catalog uses the cached
+distinct counts.
 
 Tables also expose a *columnar view* (:meth:`Table.columns`): one value list
 per column, aligned by row position.  Like the secondary indexes it is built
@@ -24,7 +24,7 @@ per-row dictionaries.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.db.schema import SchemaError, TableSchema
 
@@ -133,94 +133,25 @@ def encode_column(values: list, mode: str) -> ColumnData:
     return data
 
 
-def _slice_nulls(
-    nulls: Optional[bytearray], start: int, stop: int
-) -> Optional[bytes]:
-    """The ``[start, stop)`` bit range of a null bitmap, rebased to bit 0.
+def scan_row_maker(schema: TableSchema, alias: str) -> Callable[[Row], Row]:
+    """The scan output layout: a stored row's bare keys, then ``alias.column``.
 
-    Byte-aligned slices are cut straight out of the buffer; unaligned
-    starts rebuild the bits (rare: partition views are whole-column in
-    practice).  Returns ``None`` when no bit in the range is set.
+    Every path that turns stored rows into scan output rows — the
+    interpreted tier's scan, :meth:`Table.wide_rows` (codegen select
+    templates) and the prepared point-lookup fast path — builds them here,
+    so the layout cannot drift between tiers.  Stored rows hold every schema
+    column in declaration order (:meth:`Table.prepare_row` guarantees it),
+    so ``row.values()`` aligns with the qualified keys; one ``dict`` copy
+    plus one ``update`` is the cheapest construction CPython offers for it.
     """
-    if nulls is None:
-        return None
-    if start & 7 == 0:
-        chunk = bytes(nulls[start >> 3 : (stop + 7) >> 3])
-        return chunk if any(chunk) else None
-    rebased = bytearray((stop - start + 7) // 8)
-    any_set = False
-    for position in range(start, stop):
-        if nulls[position >> 3] & (1 << (position & 7)):
-            rebased[(position - start) >> 3] |= 1 << ((position - start) & 7)
-            any_set = True
-    return bytes(rebased) if any_set else None
+    qualified = tuple(f"{alias}.{name}" for name in schema.column_names)
 
+    def make(row: Row) -> Row:
+        wide = dict(row)
+        wide.update(zip(qualified, row.values()))
+        return wide
 
-def pack_column(data, start: int = 0, stop: Optional[int] = None) -> tuple:
-    """A compact, picklable payload for one column (or a slice of it).
-
-    Typed (``int64`` / ``float64``) and dictionary columns are packed as
-    raw buffer bytes extracted through ``memoryview`` slices of their
-    ``array`` sidecars — a zero-copy view of the partition range, never an
-    intermediate boxed list — plus the matching null-bitmap slice.  Boxed
-    columns keep the list path (their values carry no buffer form).  The
-    payload round-trips through :func:`unpack_column`.
-    """
-    if stop is None:
-        stop = len(data)
-    encoding = getattr(data, "encoding", "boxed")
-    if encoding in ("int64", "float64"):
-        view = memoryview(data.typed)[start:stop]
-        return (
-            encoding,
-            stop - start,
-            view.tobytes(),
-            _slice_nulls(data.nulls, start, stop),
-            None,
-        )
-    if encoding == "dict":
-        view = memoryview(data.codes)[start:stop]
-        return ("dict", stop - start, view.tobytes(), None, data.dictionary)
-    return ("boxed", stop - start, list(data[start:stop]), None, None)
-
-
-def unpack_column(payload: tuple) -> ColumnData:
-    """Rebuild a :class:`ColumnData` from a :func:`pack_column` payload.
-
-    The boxed list is refilled from the typed buffer at C speed (list over
-    an ``array``, or a dictionary decode over the code array), so the
-    receiver gets the same dual boxed + typed representation
-    :func:`encode_column` builds — without re-running type inference.
-    """
-    encoding, length, buffer, nulls, dictionary = payload
-    if encoding == "boxed":
-        return ColumnData(buffer)
-    if encoding == "dict":
-        codes = array("q")
-        codes.frombytes(buffer)
-        code_of: dict[str, int] = {
-            value: code for code, value in enumerate(dictionary)
-        }
-        data = ColumnData(
-            None if code < 0 else dictionary[code] for code in codes
-        )
-        data.encoding = "dict"
-        data.codes = codes
-        data.code_of = code_of
-        data.dictionary = list(dictionary)
-        return data
-    typed = array("q" if encoding == "int64" else "d")
-    typed.frombytes(buffer)
-    data = ColumnData(typed)
-    data.encoding = encoding
-    data.typed = typed
-    if nulls is not None:
-        bitmap = bytearray(nulls)
-        data.nulls = bitmap
-        for position in range(length):
-            if bitmap[position >> 3] & (1 << (position & 7)):
-                data[position] = None
-    return data
+    return make
 
 
 class Table:
@@ -498,7 +429,7 @@ class Table:
         not be mutated by callers.  The vectorized executor scans these
         arrays instead of iterating row dictionaries; each column carries a
         typed/dictionary-encoded sidecar per :meth:`set_storage_mode`, which
-        the codegen and numpy paths specialize on.
+        the codegen path specializes on.
         """
         cached = self._columnar
         if cached is not None and self._columnar_version == self.version:
@@ -530,17 +461,7 @@ class Table:
             self._wide_version = self.version
         cached = self._wide_rows.get(alias)
         if cached is None:
-            qualified = [
-                f"{alias}.{name}" for name in self.schema.column_names
-            ]
-            cached = []
-            append = cached.append
-            for row in self.rows:
-                # Stored rows hold every schema column in declaration
-                # order (prepare_row guarantees it), so values() aligns.
-                wide = dict(row)
-                wide.update(zip(qualified, row.values()))
-                append(wide)
+            cached = list(map(scan_row_maker(self.schema, alias), self.rows))
             self._wide_rows[alias] = cached
         return cached
 

@@ -1,10 +1,10 @@
 """Vectorized batch execution over columnar storage.
 
-This is the engine's third execution tier (see :mod:`repro.db.executor` for
-the compiled and interpreted row tiers).  Plans are lowered once into a
-pipeline of *batch operators* flowing :class:`ColumnBatch` objects — bundles
-of column value arrays plus a shared selection (row-index) vector — instead
-of streams of per-row dictionaries:
+This is the engine's fast execution tier (see :mod:`repro.db.executor` for
+the interpreted row tier it is checked against).  Plans are lowered once
+into a pipeline of *batch operators* flowing :class:`ColumnBatch` objects —
+bundles of column value arrays plus a shared selection (row-index) vector —
+instead of streams of per-row dictionaries:
 
 * **Scans** wrap the table's lazy columnar view (:meth:`repro.db.table.
   Table.columns`) without copying anything: every column is the table's own
@@ -12,7 +12,7 @@ of streams of per-row dictionaries:
 * **Filters** evaluate predicate kernels (:meth:`repro.db.expressions.
   Expression.compile_batch`) over whole columns and *compose selection
   vectors*; no row is copied, and AND conjunctions shrink the selection
-  stage by stage like the row tier's fused filter chain.
+  stage by stage like the row tier's short-circuit AND.
 * **Hash joins** build and probe on key arrays and carry the match as a pair
   of (left positions, right positions); the joined batch merely re-points
   both sides' columns at the new selections.
@@ -20,14 +20,14 @@ of streams of per-row dictionaries:
   root of the operator tree, by a code-generated row constructor that turns
   the surviving selections into ``{key: value, ...}`` dict displays in a
   single comprehension — eliminating the per-operator dict construction that
-  bounds the row tiers on full-width joins.
+  bounds the row tier on full-width joins.
 
 Operators or expressions outside the vectorizable subset fall back
-*per-subtree* to the compiled tier: the subtree executes as rows, which are
-adapted back into a batch for the vectorized ancestors.  Any error raised
-during a vectorized run makes the owning :class:`~repro.db.executor.
-Executor` re-run the whole plan on the compiled tier, so evaluation-order
-and error semantics can never diverge from the row tiers; both tiers are
+*per-subtree* to the interpreted tier: the subtree executes as rows, which
+are adapted back into a batch for the vectorized ancestors.  Any error
+raised during a vectorized run makes the owning :class:`~repro.db.executor.
+Executor` re-run the whole plan on the interpreted tier, so evaluation-order
+and error semantics can never diverge from it; both tiers are
 property-tested row-identical.
 """
 
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 from collections import OrderedDict, defaultdict
 from itertools import repeat
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
@@ -71,7 +70,7 @@ class BatchResolutionError(Exception):
     """A column reference did not resolve against a batch at run time.
 
     Raised inside batch kernels; the executor responds by re-running the
-    plan on the compiled tier, which reproduces the row tiers' exact
+    plan on the interpreted tier, which reproduces the row tier's exact
     behaviour (a value via suffix fallback, or the user-visible error).
     """
 
@@ -98,7 +97,7 @@ class ColumnBatch:
     """A columnar slice of intermediate results.
 
     ``columns`` maps output key (bare and ``alias.column`` qualified names,
-    matching the row tiers' output layout) to ``(array, selection)`` where
+    matching the row tier's output layout) to ``(array, selection)`` where
     ``selection`` is a list of row indices into ``array`` — or ``None`` for
     the identity selection.  Distinct columns share selection *objects*, so
     operators that filter or join re-point many columns by rebuilding only
@@ -168,7 +167,7 @@ class ColumnBatch:
         name = self.resolve(column)
         if name is None:
             if self.length == 0:
-                # No rows would ever be evaluated by the row tiers either.
+                # No rows would ever be evaluated by the row tier either.
                 return []
             raise BatchResolutionError(column.qualified_name)
         return self.values_for(name)
@@ -197,70 +196,9 @@ class ColumnBatch:
             rows = [rows[p] for p in positions]
         return ColumnBatch(columns, len(positions), self.key_order, rows)
 
-    # -- pickling ---------------------------------------------------------
-    # Batches cross process boundaries in the sharding layer's process-pool
-    # scatter.  The gather memo is transient (its id()-keyed entries would
-    # be meaningless in another process) and is dropped; everything else is
-    # plain data.
-
-    def __getstate__(self) -> tuple:
-        return (self.columns, self.length, self.key_order, self.rows)
-
-    def __setstate__(self, state: tuple) -> None:
-        self.columns, self.length, self.key_order, self.rows = state
-        self._gathered = {}
-
 
 def _empty_batch() -> ColumnBatch:
     return ColumnBatch({}, 0, ())
-
-
-def pack_batch(batch: ColumnBatch) -> tuple:
-    """A compact payload for shipping a batch between processes.
-
-    Each column is gathered through its selection and re-encoded onto
-    typed ``array`` / dictionary sidecars (:func:`~repro.db.table.
-    encode_column` + :func:`~repro.db.table.pack_column`), so the pickle
-    carries raw buffers instead of per-value boxed objects — the PR-5
-    ship-ColumnBatches-not-row-lists rule, applied across the process
-    boundary.  Round-trips through :func:`unpack_batch`.
-    """
-    from repro.db.table import encode_column, pack_column
-
-    columns = tuple(
-        (key, pack_column(encode_column(batch.values_for(key), "dictionary")))
-        for key in batch.key_order
-    )
-    return (columns, batch.length)
-
-
-def unpack_batch(payload: tuple) -> ColumnBatch:
-    """Rebuild a :class:`ColumnBatch` from a :func:`pack_batch` payload."""
-    from repro.db.table import unpack_column
-
-    packed_columns, length = payload
-    columns: dict[str, tuple[list, Optional[list[int]]]] = {
-        key: (unpack_column(packed), None) for key, packed in packed_columns
-    }
-    return ColumnBatch(
-        columns, length, tuple(key for key, _ in packed_columns)
-    )
-
-
-def batch_output_rows(batch: ColumnBatch) -> list[Row]:
-    """Materialize a batch's output rows with a plain zip (no row maker).
-
-    Used where no :class:`VectorizedExecutor` is at hand (unpacking a
-    shipped batch on the gather side); ``key_order`` is the dict layout,
-    exactly as :meth:`VectorizedExecutor._materialize` would emit it.
-    """
-    if batch.rows is not None:
-        return batch.rows
-    keys = batch.key_order
-    if not keys or not batch.length:
-        return []
-    arrays = [batch.values_for(key) for key in keys]
-    return [dict(zip(keys, values)) for values in zip(*arrays)]
 
 
 def gather_batches(batches: Sequence[ColumnBatch]) -> Optional[ColumnBatch]:
@@ -352,7 +290,7 @@ def _accumulate_sum(values: Sequence, group_ids: Sequence[int], ngroups: int) ->
         if value is None:
             continue
         state = sums[gid]
-        # Seed with 0 + value, exactly like the row tiers' sum(): a
+        # Seed with 0 + value, exactly like the row tier's sum(): a
         # non-numeric value must raise here so the kernel-error fallback
         # reproduces the row-tier TypeError instead of silently summing.
         sums[gid] = 0 + value if state is None else state + value
@@ -452,7 +390,7 @@ def _hash_join_positions(
 
     Returns ``(probe_positions, build_positions)``; a ``None`` probe side
     means the identity selection (every probe row matched exactly once, in
-    order).  NULL keys never match, mirroring the row tiers.  The common
+    order).  NULL keys never match, mirroring the row tier.  The common
     unique-build-key case (foreign key to primary key) probes through one
     C-level ``map`` over the build table instead of a Python loop.
     """
@@ -520,7 +458,7 @@ def _hash_join_positions(
 # and fall back to the batch-kernel path (counted as
 # ``codegen_unsupported``); a *runtime* error in a generated pipeline also
 # re-runs via the kernel path, so error semantics never diverge from the
-# row tiers.
+# row tier.
 
 
 class _CodegenUnsupported(Exception):
@@ -601,7 +539,7 @@ class _Lowered(NamedTuple):
     that can be freely repeated *or skipped* by a parent's null guard,
     because their evaluation cannot raise.  Anything composite (including a
     bare comparison, which can raise ``TypeError`` on mixed operands) must
-    be evaluated exactly as often as the row tiers would evaluate it.
+    be evaluated exactly as often as the row tier would evaluate it.
     """
 
     src: str
@@ -665,7 +603,7 @@ class _PipelineCompiler:
     def resolve(self, column: ColumnRef) -> str:
         """Resolve a reference to a schema column name, or refuse.
 
-        Single-table pipelines resolve exactly like the row tiers: the
+        Single-table pipelines resolve exactly like the row tier: the
         qualified lookup and the unique-suffix fallback both land on the
         bare schema column when it exists, so the bare name is the whole
         story here.
@@ -679,7 +617,7 @@ class _PipelineCompiler:
 
         Mirrors :meth:`ColumnRef.evaluate` over the aggregate's output row:
         qualified key first, then the bare name, then a unique ``.name``
-        suffix; anything missing or ambiguous refuses (the row tiers raise
+        suffix; anything missing or ambiguous refuses (the row tier raises
         their own error for it).
         """
         available = self.emit_columns
@@ -809,7 +747,7 @@ class _PipelineCompiler:
             src = joiner.join(
                 o.src if o.is_bool else f"bool({o.src})" for o in operands
             )
-            # The row tiers short-circuit AND/OR exactly like this.
+            # The row tier short-circuits AND/OR exactly like this.
             return _Lowered(f"({src})", False, True, False)
         if isinstance(expression, Not):
             operand = self.lower(expression.operand)
@@ -826,7 +764,7 @@ class _PipelineCompiler:
                 values = expression.values
             bound = self.bind(values)
             # An unhashable *operand value* raises against the frozenset
-            # where the row tiers scan the tuple; that runtime error re-runs
+            # where the row tier scans the tuple; that runtime error re-runs
             # via the kernel path, which reproduces the row-tier result.
             return _Lowered(f"({operand.src} in {bound})", False, True, False)
         if isinstance(expression, FunctionCall):
@@ -864,7 +802,7 @@ class _PipelineCompiler:
             guard = " and ".join(f"{o.src} is not None" for o in nullable_atoms)
             src = f"({guard} and {left.src} {operator_src} {right.src})"
             return _Lowered(src, False, True, False)
-        # A composite operand can raise, and the row tiers always evaluate
+        # A composite operand can raise, and the row tier always evaluates
         # both operands before the null check — so evaluate both into
         # temporaries unconditionally (a tuple display fixes the order),
         # then guard.
@@ -901,7 +839,7 @@ class _PipelineCompiler:
         code is compared.  Sentinels: row code ``-1`` is NULL, translated
         key ``-2`` means "scalar is NULL", ``-3`` "scalar not in the
         dictionary" — both compare unequal to every row code, and the NULL
-        cases collapse to ``False`` exactly like the row tiers' comparison
+        cases collapse to ``False`` exactly like the row tier's comparison
         semantics.
         """
         if self.emit_columns is not None:
@@ -974,7 +912,7 @@ def _generate_select(
         # Full-width output: each survivor is a C-level ``dict.copy`` of
         # the table's prebuilt template for this alias (bare keys then
         # alias-qualified keys — the kernel scan's key order, and
-        # therefore the row tiers').  Only filter columns are zipped.
+        # therefore the row tier's).  Only filter columns are zipped.
         compiler.uses_wide = True
         names, sources = compiler.zip_names, compiler.zip_sources
         if names:
@@ -1006,7 +944,7 @@ def _emit_items(
     ``available`` is the aggregate's output namespace (key -> value source)
     in row-dict insertion order.  Without an outer projection it *is* the
     output row; with one, each projection output is lowered in emit scope so
-    references resolve against the aggregate's outputs like the row tiers'
+    references resolve against the aggregate's outputs like the row tier's
     projection over aggregate rows.
     """
     if shape.outputs is None:
@@ -1242,7 +1180,7 @@ def _generate_aggregate(
             unpack = key_names[0]
         else:
             unpack = f"({', '.join(key_names)})"
-        # The aggregate's output namespace, as the row tiers build it:
+        # The aggregate's output namespace, as the row tier builds it:
         # group columns (bare and qualified keys) first, then spec outputs;
         # later assignments overwrite, exactly like row-dict insertion.
         for key_name, (bare, qualified, dictionary) in zip(key_names, group_emits):
@@ -1360,41 +1298,31 @@ class VectorizedExecutor:
     Owned by an :class:`~repro.db.executor.Executor` in ``vectorized`` mode.
     Lowered pipelines are cached in an LRU keyed by the plan object, so a
     prepared statement's slot-compiled template re-executes with zero
-    lowering work; the cache is dropped on DDL together with the executor's
-    resolver-context closures.
+    lowering work; the cache is dropped on DDL.
     """
 
     #: Lowered-plan cache entries kept before LRU eviction.
     OP_CACHE_LIMIT = 256
     #: Compiled fused-pipeline cache entries kept before LRU eviction.
     PIPELINE_CACHE_LIMIT = 256
+    #: Whether fused-pipeline codegen is attempted at all.  Switched off on
+    #: an instance (or, for every executor at once, on the class) to measure
+    #: or test the batch-kernel path on its own.
+    codegen_enabled = True
 
-    def __init__(self, executor, backend: Optional[str] = None) -> None:
-        from repro.db.vector_backend import make_filter_backend, resolve_backend
-
+    def __init__(self, executor) -> None:
         self._executor = executor
         self._tables = executor._tables
         #: plan -> lowered BatchOp (or the unvectorizable sentinel), LRU.
         self._ops: OrderedDict[algebra.PlanNode, BatchOp] = OrderedDict()
         #: materializer-layout signature -> code-generated row constructor,
-        #: LRU-evicted like the executor's compile caches.
+        #: LRU-evicted like the lowered-plan cache.
         self._makers: OrderedDict[tuple, Callable] = OrderedDict()
         #: plan -> analyzed pipeline shape, ``None`` (not a pipeline spine)
         #: or the unsupported sentinel; LRU alongside the op cache.
         self._shapes: OrderedDict[algebra.PlanNode, Any] = OrderedDict()
         #: (plan, column-layout signature) -> compiled fused pipeline, LRU.
         self._pipelines: OrderedDict[tuple, Callable] = OrderedDict()
-        #: whether fused-pipeline codegen is attempted at all (the
-        #: ``REPRO_VECTOR_CODEGEN=0`` escape hatch forces the kernel path).
-        self.codegen_enabled = os.environ.get(
-            "REPRO_VECTOR_CODEGEN", "1"
-        ).lower() not in ("0", "false", "off")
-        #: requested / active kernel filter backend ("python" or "numpy";
-        #: "numpy" silently degrades to "python" when numpy is absent).
-        self.backend_requested, self.backend = resolve_backend(backend)
-        self._filter_backend = make_filter_backend(
-            self.backend, self._count_reason
-        )
         #: queries served entirely by this tier.
         self.executions = 0
         #: of which: served by a compiled fused pipeline.
@@ -1406,10 +1334,10 @@ class VectorizedExecutor:
         #: codegen attempts aborted by an unexpected error (the query then
         #: re-runs via the kernel path, so this is not a fallback).
         self.codegen_errors = 0
-        #: queries that bailed to the compiled tier (no lowering, or a
+        #: queries that bailed to the interpreted tier (no lowering, or a
         #: kernel raised at run time).
         self.fallbacks = 0
-        #: subtrees executed on the compiled tier inside a vectorized run.
+        #: subtrees executed on the interpreted tier inside a vectorized run.
         self.subtree_fallbacks = 0
         #: fallback reason -> count, across whole-plan and subtree
         #: fallbacks: ``theta_join`` (non-equi join condition),
@@ -1418,8 +1346,7 @@ class VectorizedExecutor:
         #: ``unsupported_operator`` (a plan node outside the vectorized
         #: subset), ``kernel_error`` (a kernel raised at run time),
         #: ``codegen_unsupported`` (an eligible pipeline spine with an
-        #: unlowerable expression ran on the kernel path instead), and
-        #: ``untyped_column`` (the numpy backend declined a boxed column).
+        #: unlowerable expression ran on the kernel path instead).
         self.fallback_reasons: dict[str, int] = {}
         #: reason of the most recent lowering failure (set by _lower).
         self._last_reason = "unsupported_operator"
@@ -1437,9 +1364,9 @@ class VectorizedExecutor:
         """Execute ``plan`` vectorized, or return ``None`` to fall back.
 
         Any exception other than :class:`~repro.db.executor.ExecutionError`
-        (which the row tiers raise identically, e.g. for unknown tables)
+        (which the row tier raises identically, e.g. for unknown tables)
         aborts the vectorized attempt; the caller re-runs the plan on the
-        compiled tier, which reproduces genuine user-visible errors with
+        interpreted tier, which reproduces genuine user-visible errors with
         row-tier semantics.
         """
         rows = self.try_codegen_rows(plan)
@@ -1542,7 +1469,7 @@ class VectorizedExecutor:
             table = self._tables.get(shape.table)
             if table is None:
                 # Can't settle supportability without a schema; don't cache
-                # (the table may exist under a future resolver context).
+                # (the table may be created later).
                 return shape
             try:
                 source, _, _ = _generate_pipeline(shape, table.schema, None)
@@ -1638,7 +1565,7 @@ class VectorizedExecutor:
     def _source(self, plan: algebra.PlanNode) -> BatchOp:
         """The lowering of a child plan, with per-subtree fallback.
 
-        A child outside the vectorizable subset executes on the compiled
+        A child outside the vectorizable subset executes on the interpreted
         tier and its rows are adapted into a batch, so one unsupported
         operator or expression does not force the whole query off the
         vectorized path.
@@ -1692,40 +1619,23 @@ class VectorizedExecutor:
         return run
 
     def _lower_select(self, plan: algebra.Select) -> Optional[BatchOp]:
-        filter_backend = self._filter_backend
         kernels = []
         for conjunct in _flatten_and(plan.predicate):
             kernel = self._kernel(conjunct)
             if kernel is None:
                 return self._fallback("unknown_function")
-            # The optional vector backend (numpy) may supply a faster
-            # position filter for this conjunct; ``None`` (unsupported
-            # shape, or at run time an untyped column) defers to the
-            # Python kernel, which is always present and authoritative.
-            position_filter = (
-                filter_backend.position_filter(conjunct)
-                if filter_backend is not None
-                else None
-            )
-            kernels.append((kernel, position_filter))
+            kernels.append(kernel)
         child = self._source(plan.child)
 
         def run() -> ColumnBatch:
             batch = child()
             # Conjuncts shrink the selection stage by stage: each kernel
             # only sees rows that survived the previous conjunct, which is
-            # the batch equivalent of the row tiers' short-circuit AND.
-            for kernel, position_filter in kernels:
+            # the batch equivalent of the row tier's short-circuit AND.
+            for kernel in kernels:
                 if batch.length == 0:
                     return batch
-                keep = (
-                    position_filter(batch)
-                    if position_filter is not None
-                    else None
-                )
-                if keep is None:
-                    values = kernel(batch)
-                    keep = [i for i, v in enumerate(values) if v]
+                keep = [i for i, v in enumerate(kernel(batch)) if v]
                 if len(keep) != batch.length:
                     batch = batch.take(keep)
             return batch
@@ -1754,7 +1664,7 @@ class VectorizedExecutor:
     def _lower_join(self, plan: algebra.Join) -> Optional[BatchOp]:
         equi = _equi_join_columns(plan.condition)
         if equi is None:
-            # Theta and cross joins stay on the row tiers.
+            # Theta and cross joins stay on the row tier.
             return self._fallback("theta_join")
         left_col, right_col = equi
         left_source = self._source(plan.left)
@@ -1897,7 +1807,7 @@ class VectorizedExecutor:
             arg_columns = [kernel(batch) for kernel in arg_kernels]
             # Phase 1: one pass over the grouping arrays assigns every row a
             # dense group id (group order = first encounter, matching the
-            # row tiers' dict-insertion order).
+            # row tier's dict-insertion order).
             length = batch.length
             if not group_by:
                 ngroups = 1
@@ -1985,7 +1895,7 @@ class VectorizedExecutor:
                 return batch
             positions = list(range(batch.length))
             # Sort by the last key first; stable sorts make earlier keys
-            # take precedence, exactly like the row tiers.
+            # take precedence, exactly like the row tier.
             for key, kernel in zip(reversed(keys), reversed(key_kernels)):
                 decorated = [_sort_key(v) for v in kernel(batch)]
                 positions.sort(

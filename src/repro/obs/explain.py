@@ -87,7 +87,7 @@ class ExplainResult:
     tier: str
     analyzed: bool
     #: EXPLAIN ANALYZE only: how the execution actually ran — the serving
-    #: tier, the concrete path ("codegen" / "kernel" / row tier /
+    #: tier, the concrete path ("codegen" / "kernel" / "interpreted" /
     #: "point-lookup"), and the vectorized fallback reason, if any.
     execution: Optional[dict] = None
 
@@ -151,22 +151,17 @@ class ExplainResult:
         return self.render()
 
 
-def _predict_tier(database: Any, statement: Any, plan: algebra.PlanNode) -> str:
-    """The tier the statement is expected to execute on."""
-    if (
-        statement.point_lookup is not None
-        and database.compiled_execution
-        and database._mvcc is None
-    ):
+def _predict_tier(statement: Any, plan: algebra.PlanNode) -> str:
+    """The tier the statement is expected to execute on.
+
+    Asks the same questions :meth:`PreparedStatement.execute` does — which
+    executor serves the read, and whether it takes the point-lookup fast
+    path — so the prediction and the execution cannot disagree on them.
+    """
+    executor = statement.read_executor()
+    if statement.uses_point_lookup(executor):
         return "point-lookup"
-    executor = database._executor
-    if executor._vectorized is not None:
-        return (
-            "vectorized"
-            if executor._vectorized._op(plan) is not None
-            else "compiled"
-        )
-    return executor.mode
+    return executor.predict_tier(plan)
 
 
 def explain_statement(
@@ -191,7 +186,7 @@ def explain_statement(
 
     router = database._router
     routing = router.classify(plan) if router is not None else None
-    tier = _predict_tier(database, statement, plan)
+    tier = _predict_tier(statement, plan)
 
     entries: List[ExplainEntry] = []
     nodes: List[algebra.PlanNode] = []
@@ -233,11 +228,7 @@ def explain_statement(
             "path": statement.last_execution_path,
             "fallback_reason": statement.last_fallback_reason,
         }
-        executor = (
-            database._executor
-            if database._mvcc is None
-            else database._mvcc.executor_for(database._txn)
-        )
+        executor = statement.read_executor()
         # Per-node actuals: the root comes straight from the executed
         # result (exact by construction); inner operators re-execute their
         # subtree, which is deterministic and therefore equal to what the

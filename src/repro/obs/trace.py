@@ -355,8 +355,8 @@ def attach_parallel_scatter(span: Span, parallel: dict) -> Span:
     """Attach a parallel-scatter breakdown under a route span.
 
     ``parallel`` is the router's scatter record (mode, workers, per-shard
-    wall times, pickle byte counts in process mode).  The breakdown rides
-    as *informational* sub-spans (:meth:`Span.child`), so
+    wall times).  The breakdown rides as *informational* sub-spans
+    (:meth:`Span.child`), so
     :meth:`QueryTrace.check_accounting`'s exact partition of the root —
     which only inspects the root's direct children — is untouched.  The
     ``parallel`` child's duration is the **max** per-shard wall time, not
@@ -364,16 +364,12 @@ def attach_parallel_scatter(span: Span, parallel: dict) -> Span:
     clock the scatter actually occupied.  Each shard's own wall time
     attaches as a ``shard-<i>`` grandchild.
     """
-    attributes: dict = {
-        "mode": parallel.get("mode"),
-        "workers": parallel.get("workers"),
-        "shards": parallel.get("shards"),
-    }
-    pickle_bytes = parallel.get("pickle_bytes")
-    if pickle_bytes is not None:
-        attributes["pickle_bytes"] = dict(pickle_bytes)
     child = span.child(
-        "parallel", parallel.get("elapsed", 0.0), **attributes
+        "parallel",
+        parallel.get("elapsed", 0.0),
+        mode=parallel.get("mode"),
+        workers=parallel.get("workers"),
+        shards=parallel.get("shards"),
     )
     for index, seconds in enumerate(parallel.get("shard_seconds", ())):
         child.child(f"shard-{index}", seconds)

@@ -13,9 +13,23 @@ from repro.appsim.runtime import AppRuntime
 from repro.core.catalog import catalog_for_network
 from repro.db.database import Database
 from repro.db.schema import Column, ColumnType, ForeignKey
+from repro.db.vectorized import VectorizedExecutor
 from repro.net.network import FAST_LOCAL, SLOW_REMOTE
 from repro.workloads import tpcds
 from repro.workloads.wilos import build_wilos_database
+
+
+@pytest.fixture
+def tier(mode, monkeypatch) -> str:
+    """The database ``execution_mode`` for execution path ``mode``.
+
+    For tests parametrized over ``mode`` in ``vectorized`` (fused codegen
+    first), ``kernel`` (the vectorized tier's batch kernels alone: codegen
+    switched off on every executor, shard-local ones included) and
+    ``interpreted``.
+    """
+    monkeypatch.setattr(VectorizedExecutor, "codegen_enabled", mode != "kernel")
+    return "interpreted" if mode == "interpreted" else "vectorized"
 
 
 @pytest.fixture(scope="session")

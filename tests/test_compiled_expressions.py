@@ -3,9 +3,9 @@
 The compiled fast path (``Expression.compile``) must agree with the
 tree-walking interpreter (``Expression.evaluate``) on every node type —
 including NULL semantics, qualified/unqualified column fallback, ambiguity
-errors, and unknown-function errors — and the compiled executor must return
-exactly the rows of the interpreted executor on every query shape the
-benchmarks use.
+errors, and unknown-function errors — and the vectorized executor must
+return exactly the rows of the interpreted executor on every query shape
+the benchmarks use.
 """
 
 from __future__ import annotations
@@ -227,14 +227,14 @@ BENCHMARK_QUERIES = [
 
 
 class TestExecutorModeEquivalence:
-    """Compiled and interpreted executors return identical rows in order."""
+    """Vectorized and interpreted executors return identical rows in order."""
 
     @pytest.mark.parametrize("sql", BENCHMARK_QUERIES)
     def test_query_equivalence(self, simple_database, sql):
         plan = parse_sql(sql)
-        interpreted = Executor(simple_database.tables, compiled=False)
-        compiled = Executor(simple_database.tables, compiled=True)
-        assert compiled.execute(plan) == interpreted.execute(plan)
+        interpreted = Executor(simple_database.tables, mode="interpreted")
+        vectorized = Executor(simple_database.tables, mode="vectorized")
+        assert vectorized.execute(plan) == interpreted.execute(plan)
 
     def test_join_of_filtered_scans(self, simple_database):
         plan = algebra.Join(
@@ -248,9 +248,9 @@ class TestExecutorModeEquivalence:
             ),
             BinaryOp("=", ColumnRef("dept_id", "e"), ColumnRef("dept_id", "d")),
         )
-        interpreted = Executor(simple_database.tables, compiled=False)
-        compiled = Executor(simple_database.tables, compiled=True)
-        assert compiled.execute(plan) == interpreted.execute(plan)
+        interpreted = Executor(simple_database.tables, mode="interpreted")
+        vectorized = Executor(simple_database.tables, mode="vectorized")
+        assert vectorized.execute(plan) == interpreted.execute(plan)
 
     def test_reversed_equi_condition(self, simple_database):
         # Condition written right-side-first must join identically.
@@ -259,9 +259,9 @@ class TestExecutorModeEquivalence:
             algebra.Scan("department", "d"),
             BinaryOp("=", ColumnRef("dept_id", "d"), ColumnRef("dept_id", "e")),
         )
-        interpreted = Executor(simple_database.tables, compiled=False)
-        compiled = Executor(simple_database.tables, compiled=True)
-        assert compiled.execute(plan) == interpreted.execute(plan)
+        interpreted = Executor(simple_database.tables, mode="interpreted")
+        vectorized = Executor(simple_database.tables, mode="vectorized")
+        assert vectorized.execute(plan) == interpreted.execute(plan)
 
     def test_projected_join_pipelines_identically(self, simple_database):
         plan = algebra.Project(
@@ -281,9 +281,9 @@ class TestExecutorModeEquivalence:
                 ),
             ),
         )
-        interpreted = Executor(simple_database.tables, compiled=False)
-        compiled = Executor(simple_database.tables, compiled=True)
-        assert compiled.execute(plan) == interpreted.execute(plan)
+        interpreted = Executor(simple_database.tables, mode="interpreted")
+        vectorized = Executor(simple_database.tables, mode="vectorized")
+        assert vectorized.execute(plan) == interpreted.execute(plan)
 
 
 class TestInListUnhashableRowValue:

@@ -188,7 +188,7 @@ class TestJoinFixes:
     """Hash-join build skipping and side-resolution robustness."""
 
     def test_empty_probe_side_skips_right_side_entirely(self, simple_database):
-        executor = Executor(simple_database.tables, compiled=False)
+        executor = Executor(simple_database.tables, mode="interpreted")
         scanned = []
         original_scan = Executor._scan
 
@@ -217,7 +217,7 @@ class TestJoinFixes:
     def test_empty_probe_never_builds_table_index(self, simple_database):
         from repro.db.table import Table
 
-        executor = Executor(simple_database.tables, compiled=True)
+        executor = Executor(simple_database.tables, mode="vectorized")
         built = []
         original_index_for = Table.index_for
 
@@ -241,13 +241,13 @@ class TestJoinFixes:
             Table.index_for = original_index_for
         assert built == []
 
-    @pytest.mark.parametrize("compiled", [False, True])
+    @pytest.mark.parametrize("mode", Executor.MODES)
     def test_condition_sides_resolve_against_both_samples(
-        self, simple_database, compiled
+        self, simple_database, mode
     ):
         # The equi condition names the right side first; orientation must be
         # derived from both sides' shapes, not just the first left row.
-        executor = Executor(simple_database.tables, compiled=compiled)
+        executor = Executor(simple_database.tables, mode=mode)
         plan = algebra.Join(
             algebra.Scan("department", "d"),
             algebra.Scan("employee", "e"),
@@ -257,17 +257,17 @@ class TestJoinFixes:
         assert len(rows) == 5
         assert all(r["e.dept_id"] == r["d.dept_id"] for r in rows)
 
-    def test_index_join_matches_hash_join(self, simple_database):
+    def test_vectorized_join_matches_interpreted_join(self, simple_database):
         plan = algebra.Join(
             algebra.Scan("employee", "e"),
             algebra.Scan("department", "d"),
             BinaryOp("=", ColumnRef("dept_id", "e"), ColumnRef("dept_id", "d")),
         )
-        compiled = Executor(simple_database.tables, compiled=True)
-        interpreted = Executor(simple_database.tables, compiled=False)
-        assert compiled.execute(plan) == interpreted.execute(plan)
+        vectorized = Executor(simple_database.tables, mode="vectorized")
+        interpreted = Executor(simple_database.tables, mode="interpreted")
+        assert vectorized.execute(plan) == interpreted.execute(plan)
 
-    def test_index_join_sees_fresh_rows_after_insert(self):
+    def test_join_sees_fresh_rows_after_insert(self):
         from repro.db.database import Database
         from repro.db.schema import Column, ColumnType
 
@@ -289,20 +289,20 @@ class TestJoinFixes:
             algebra.Scan("parent", "p"),
             BinaryOp("=", ColumnRef("pid", "c"), ColumnRef("pid", "p")),
         )
-        executor = Executor(database.tables, compiled=True)
+        executor = Executor(database.tables, mode="vectorized")
         assert len(executor.execute(plan)) == 1
-        # A mutation must invalidate the cached secondary index.
+        # A mutation must invalidate the cached join selections.
         database.insert("parent", [{"pid": 2, "label": "b"}])
         database.insert("child", [{"cid": 2, "pid": 2}])
         assert len(executor.execute(plan)) == 2
 
 
-class TestJoinErrorAndCacheBehaviour:
-    @pytest.mark.parametrize("compiled", [False, True])
+class TestJoinErrorBehaviour:
+    @pytest.mark.parametrize("mode", Executor.MODES)
     def test_unknown_right_table_raises_even_with_empty_probe(
-        self, simple_database, compiled
+        self, simple_database, mode
     ):
-        executor = Executor(simple_database.tables, compiled=compiled)
+        executor = Executor(simple_database.tables, mode=mode)
         plan = algebra.Join(
             algebra.Select(
                 algebra.Scan("employee", "e"), equals("name", "nobody", "e")
@@ -312,19 +312,3 @@ class TestJoinErrorAndCacheBehaviour:
         )
         with pytest.raises(ExecutionError, match="unknown table"):
             executor.execute(plan)
-
-    def test_compile_cache_is_bounded(self, simple_database):
-        executor = Executor(simple_database.tables, compiled=True)
-        # Predicates above a join are not scan-fused, so each distinct
-        # literal lands in the shared compile cache; it must stay bounded.
-        join = algebra.Join(
-            algebra.Scan("employee", "e"),
-            algebra.Scan("department", "d"),
-            BinaryOp("=", ColumnRef("dept_id", "e"), ColumnRef("dept_id", "d")),
-        )
-        for value in range(Executor.COMPILE_CACHE_LIMIT + 10):
-            plan = algebra.Select(
-                join, BinaryOp("=", ColumnRef("salary", "e"), Literal(value))
-            )
-            executor.execute(plan)
-        assert len(executor._compile_cache) <= Executor.COMPILE_CACHE_LIMIT

@@ -166,3 +166,29 @@ class TestExplainAnalyze:
         engine = make_engine(shards=2, tracing=False)
         result = engine.database.explain_analyze(JOIN_SQL)
         assert result.root.actual_rows is not None
+
+
+class TestTierPrediction:
+    """EXPLAIN's predicted tier is the tier EXPLAIN ANALYZE executes on."""
+
+    QUERIES = [
+        "select * from orders where o_id = 7",
+        "select o_id, o_quantity from orders where o_quantity > 2",
+        "select * from orders o join customer c "
+        "on o.o_customer_sk < c.c_customer_sk",
+    ]
+
+    @pytest.mark.parametrize("sql", QUERIES, ids=["point", "scan", "theta"])
+    @pytest.mark.parametrize("kind", ["plain", "mvcc", "sharded"])
+    def test_predicted_tier_matches_executed_tier(self, kind, sql):
+        builder = Engine.builder().orders_workload(
+            num_orders=120, num_customers=12
+        )
+        if kind == "mvcc":
+            builder.mvcc()
+        elif kind == "sharded":
+            builder.shards(4)
+        database = builder.build().database
+        predicted = database.explain(sql).tier
+        executed = database.explain_analyze(sql).execution["tier"]
+        assert predicted == executed

@@ -118,18 +118,16 @@ def run_serial_workload(database: Database, seed: int) -> None:
 
 
 class TestSerialEquivalence:
-    @pytest.mark.parametrize(
-        "mode", ["interpreted", "compiled", "vectorized"]
-    )
+    @pytest.mark.parametrize("mode", ["interpreted", "vectorized", "kernel"])
     @pytest.mark.parametrize(
         "sharded", [False, True], ids=["plain", "sharded"]
     )
     @pytest.mark.parametrize("seed", SEEDS)
     def test_mvcc_on_equals_mvcc_off_for_serial_workloads(
-        self, mode, sharded, seed
+        self, tier, sharded, seed
     ):
-        baseline = make_database(mvcc=False, sharded=sharded, mode=mode)
-        versioned = make_database(mvcc=True, sharded=sharded, mode=mode)
+        baseline = make_database(mvcc=False, sharded=sharded, mode=tier)
+        versioned = make_database(mvcc=True, sharded=sharded, mode=tier)
         run_serial_workload(baseline, seed)
         run_serial_workload(versioned, seed)
         assert table_rows(versioned) == table_rows(baseline)

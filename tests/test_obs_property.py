@@ -3,8 +3,8 @@
 The tracing invariant: for every statement executed through a connection,
 the recorded :class:`~repro.obs.trace.QueryTrace` root span equals the
 virtual latency the statement was charged, and its child spans partition
-the root without overlapping.  Checked across all three execution tiers
-(vectorized / compiled / interpreted), sharded and unsharded databases,
+the root without overlapping.  Checked across both execution tiers
+(vectorized codegen / vectorized kernels / interpreted), sharded and unsharded databases,
 and the synchronous and asynchronous client paths — plus the WAL
 group-commit, MVCC conflict, admission-queue, and fault-retry shapes that
 add their own spans.  EXPLAIN ANALYZE actual row counts are also checked
@@ -24,7 +24,8 @@ from repro.db.mvcc import SerializationError
 from repro.db.schema import Column, ColumnType
 from repro.net.faults import FaultError
 
-MODES = ("vectorized", "compiled", "interpreted")
+#: Execution paths, mapped to a database mode by the ``tier`` fixture.
+MODES = ("vectorized", "kernel", "interpreted")
 SHARD_COUNTS = (0, 4)
 
 
@@ -107,8 +108,8 @@ def assert_one_exact_trace(engine, connection, run):
 class TestSyncSpanAccounting:
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     @pytest.mark.parametrize("mode", MODES)
-    def test_every_trace_partitions_its_charged_latency(self, mode, shards):
-        engine = make_engine(mode, shards)
+    def test_every_trace_partitions_its_charged_latency(self, tier, shards):
+        engine = make_engine(tier, shards)
         connection = engine.connect()
         prepared = connection.prepare(
             "select * from orders where o_c_id = ?"
@@ -131,12 +132,12 @@ class TestSyncSpanAccounting:
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     @pytest.mark.parametrize("mode", MODES)
-    def test_scan_filter_reports_its_tier(self, mode, shards):
-        engine = make_engine(mode, shards)
+    def test_scan_filter_reports_its_tier(self, tier, shards):
+        engine = make_engine(tier, shards)
         connection = engine.connect()
         connection.execute_query("select * from orders where o_total > 50")
         execute = engine.tracer.traces[-1].find("execute")
-        assert execute.attributes["tier"] == mode
+        assert execute.attributes["tier"] == tier
         route = engine.tracer.traces[-1].find("route")
         if shards:
             assert route.attributes["kind"] == "scatter"
@@ -158,8 +159,8 @@ class TestSyncSpanAccounting:
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     @pytest.mark.parametrize("mode", MODES)
-    def test_explain_analyze_actuals_are_exact(self, mode, shards):
-        engine = make_engine(mode, shards, network="fast-local")
+    def test_explain_analyze_actuals_are_exact(self, tier, shards):
+        engine = make_engine(tier, shards, network="fast-local")
         database = engine.database
         for sql in (
             "select * from orders where o_total > 50",
@@ -282,8 +283,8 @@ class TestSubsystemSpans:
 class TestAsyncSpanAccounting:
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     @pytest.mark.parametrize("mode", MODES)
-    def test_sequential_async_traces_equal_charged_latency(self, mode, shards):
-        engine = make_engine(mode, shards)
+    def test_sequential_async_traces_equal_charged_latency(self, tier, shards):
+        engine = make_engine(tier, shards)
         aengine = engine.aio()
 
         async def main():

@@ -1,10 +1,9 @@
 """Tests for parallel scatter-gather execution on the shard worker pool.
 
 Covers the :class:`~repro.db.parallel.ShardExecutorPool` surface (modes,
-deterministic error surfacing, stats, lifecycle), the packed table /
-ColumnBatch payloads that cross the process boundary, the parallel ≡
-serial scatter ≡ unsharded equivalence property across all three
-execution tiers in thread and process modes (including theta-join /
+deterministic error surfacing, stats, lifecycle), the parallel ≡ serial
+scatter ≡ unsharded equivalence property across both execution tiers in
+serial and thread pool modes (including theta-join /
 unknown-function fallback plans and a shard whose predicate raises
 mid-scatter), the sorted-run k-way merge at the gather node, out-of-order
 partial-aggregate merging, counter accounting, the engine facade wiring
@@ -14,24 +13,16 @@ CLI ``--workers``), and the parallel-scatter trace breakdown.
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
 from repro.api import Engine
 from repro.db import algebra
 from repro.db.database import Database
 from repro.db.expressions import BinaryOp, ColumnRef, FunctionCall, Literal
-from repro.db.parallel import (
-    ParallelConfigError,
-    ShardExecutorPool,
-    pack_table,
-    unpack_table,
-)
+from repro.db.parallel import ParallelConfigError, ShardExecutorPool
 from repro.db.schema import Column, ColumnType
 from repro.db.sharding import _PartialAggregate
-from repro.db.table import Table
-from repro.db.vectorized import merge_sorted_runs
+from repro.db.vectorized import VectorizedExecutor, merge_sorted_runs
 
 SHARDS = 4
 
@@ -104,6 +95,8 @@ class TestShardExecutorPool:
         with pytest.raises(ParallelConfigError):
             ShardExecutorPool(mode="fibers")
         with pytest.raises(ParallelConfigError):
+            ShardExecutorPool(mode="process")
+        with pytest.raises(ParallelConfigError):
             ShardExecutorPool(workers=0)
 
     def test_run_tasks_returns_results_in_task_order(self):
@@ -149,58 +142,27 @@ class TestShardExecutorPool:
         pool.close()
 
 
-# -- shipped payloads ----------------------------------------------------------
-
-
-class TestPackedTables:
-    def test_pack_table_round_trips_rows_index_and_columns(self):
-        database = build_database()
-        table = database.tables["orders"]
-        rebuilt = unpack_table(
-            pickle.loads(pickle.dumps(pack_table(table))), table.version
-        )
-        assert rebuilt.rows == table.rows
-        assert rebuilt.schema.column_names == table.schema.column_names
-        assert rebuilt.version == table.version
-        assert rebuilt.lookup_pk(7) == table.lookup_pk(7)
-        # The unpacked columns seed the columnar view: no re-encode on scan.
-        assert rebuilt._columnar is not None
-
-    def test_pack_table_preserves_nulls_and_strings(self):
-        database = Database()
-        database.create_table(
-            "t",
-            [
-                Column("k", ColumnType.INT),
-                Column("s", ColumnType.STRING),
-                Column("v", ColumnType.INT),
-            ],
-            primary_key="k",
-        )
-        database.insert(
-            "t",
-            (
-                {"k": i, "s": None if i % 3 == 0 else f"s{i % 4}", "v": None}
-                for i in range(17)
-            ),
-        )
-        table = database.tables["t"]
-        rebuilt = unpack_table(
-            pickle.loads(pickle.dumps(pack_table(table))), table.version
-        )
-        assert rebuilt.rows == table.rows
-
-
 # -- parallel ≡ serial ≡ unsharded --------------------------------------------
 
 
-@pytest.mark.parametrize("mode", ["vectorized", "compiled", "interpreted"])
-@pytest.mark.parametrize("pool_mode", ["thread", "process"])
+@pytest.mark.parametrize("mode", ["vectorized", "kernel", "interpreted"])
+@pytest.mark.parametrize("pool_mode", ["serial", "thread"])
 class TestParallelEquivalence:
-    def test_queries_match_serial_and_unsharded(self, mode, pool_mode):
-        unsharded = build_database(mode=mode)
-        serial = build_database(shards=SHARDS, mode=mode)
-        parallel = build_database(shards=SHARDS, mode=mode)
+    @pytest.fixture
+    def execution_mode(self, mode, monkeypatch):
+        """The database execution mode for path ``mode``; ``kernel`` runs
+        the vectorized tier with codegen off on every executor."""
+        monkeypatch.setattr(
+            VectorizedExecutor, "codegen_enabled", mode != "kernel"
+        )
+        return "interpreted" if mode == "interpreted" else "vectorized"
+
+    def test_queries_match_serial_and_unsharded(
+        self, execution_mode, pool_mode
+    ):
+        unsharded = build_database(mode=execution_mode)
+        serial = build_database(shards=SHARDS, mode=execution_mode)
+        parallel = build_database(shards=SHARDS, mode=execution_mode)
         parallel.set_parallel(workers=2, mode=pool_mode)
         try:
             for sql in QUERIES:
@@ -219,11 +181,13 @@ class TestParallelEquivalence:
         finally:
             parallel.close_parallel()
 
-    def test_theta_join_fallback_plan_stays_exact(self, mode, pool_mode):
+    def test_theta_join_fallback_plan_stays_exact(
+        self, execution_mode, pool_mode
+    ):
         # Orders sharded, customers broadcast: the theta join scatters with
         # no vectorized lowering (row-tier per shard under the pool).
         reference = build_database(mode="interpreted")
-        parallel = build_database(mode=mode)
+        parallel = build_database(mode=execution_mode)
         parallel.shard_table("orders", "o_c_id", SHARDS)
         parallel.set_parallel(workers=2, mode=pool_mode)
         plan = algebra.Join(
@@ -239,9 +203,11 @@ class TestParallelEquivalence:
         finally:
             parallel.close_parallel()
 
-    def test_unknown_function_raises_identically_once(self, mode, pool_mode):
+    def test_unknown_function_raises_identically_once(
+        self, execution_mode, pool_mode
+    ):
         reference = build_database(mode="interpreted")
-        parallel = build_database(shards=SHARDS, mode=mode)
+        parallel = build_database(shards=SHARDS, mode=execution_mode)
         parallel.set_parallel(workers=2, mode=pool_mode)
         plan = algebra.Project(
             algebra.Scan("orders"),
@@ -266,11 +232,11 @@ class TestParallelEquivalence:
         finally:
             parallel.close_parallel()
 
-    def test_error_on_one_shard_surfaces_once(self, mode, pool_mode):
+    def test_error_on_one_shard_surfaces_once(self, execution_mode, pool_mode):
         # 1 / (o_c_id - 3) raises only for rows with o_c_id == 3, which all
         # hash to a single shard; the other shards complete fine.
-        serial = build_database(shards=SHARDS, mode=mode)
-        parallel = build_database(shards=SHARDS, mode=mode)
+        serial = build_database(shards=SHARDS, mode=execution_mode)
+        parallel = build_database(shards=SHARDS, mode=execution_mode)
         parallel.set_parallel(workers=2, mode=pool_mode)
         plan = algebra.Project(
             algebra.Scan("orders"),
@@ -315,36 +281,23 @@ class TestParallelAccounting:
         finally:
             parallel.close_parallel()
 
-    def test_process_scatter_folds_worker_counter_deltas(self):
+    def test_thread_scatter_folds_shard_codegen_counters(self):
         serial = build_database(shards=SHARDS)
         parallel = build_database(shards=SHARDS)
-        parallel.set_parallel(workers=2, mode="process")
-        sql = "select o_id from orders where o_total > 40"
+        parallel.set_parallel(workers=2, mode="thread")
         try:
-            serial.execute_sql(sql)
-            parallel.execute_sql(sql)
-            assert (
-                parallel.execution_stats()["tiers"]
-                == serial.execution_stats()["tiers"]
-            )
-            stats = parallel.sharding_stats()["parallel"]
-            assert stats["pickle_bytes"]["sent"] > 0
-            assert stats["pickle_bytes"]["received"] > 0
-            assert stats["degraded"] == 0
-        finally:
-            parallel.close_parallel()
-
-    def test_process_workers_cache_shard_payloads(self):
-        parallel = build_database(shards=SHARDS)
-        parallel.set_parallel(workers=2, mode="process")
-        sql = "select o_id from orders where o_total > 40"
-        try:
-            parallel.execute_sql(sql)
-            first = parallel._router.last_parallel["pickle_bytes"]["sent"]
-            parallel.execute_sql(sql)
-            second = parallel._router.last_parallel["pickle_bytes"]["sent"]
-            # Steady state ships only the plan blobs, not the shard data.
-            assert second < first
+            # Sort spines are left out: the thread path sorts on each shard
+            # (batch kernels), the serial scatter above the gather.
+            for sql in QUERIES:
+                if "order by" not in sql:
+                    serial.execute_sql(sql)
+                    parallel.execute_sql(sql)
+            keys = ("executions", "codegen_executions", "fallbacks")
+            serial_stats = serial.execution_stats()["vectorized"]
+            parallel_stats = parallel.execution_stats()["vectorized"]
+            assert serial_stats["codegen_executions"] >= SHARDS
+            for key in keys:
+                assert parallel_stats[key] == serial_stats[key], key
         finally:
             parallel.close_parallel()
 

@@ -25,8 +25,8 @@ from repro.db.sqlparser import (
 )
 
 
-def make_database() -> Database:
-    database = Database()
+def make_database(**kwargs) -> Database:
+    database = Database(**kwargs)
     database.create_table(
         "orders",
         [
@@ -116,6 +116,25 @@ class TestSlotExecutionEquivalence:
         again = statement.execute(param_sets[0]).rows
         assert again == first
 
+    @pytest.mark.parametrize("sql,param_sets", SHAPES)
+    def test_every_path_matches_the_interpreted_oracle(self, sql, param_sets):
+        """Slot-bound executions agree, row for row and in order, on fused
+        codegen, the batch kernels and the interpreted tier."""
+        codegen = make_database()
+        kernel = make_database()
+        kernel._executor._vectorized.codegen_enabled = False
+        oracle = make_database(execution_mode="interpreted")
+        statements = [
+            database.prepare(sql) for database in (codegen, kernel, oracle)
+        ]
+        for params in param_sets + param_sets[:1]:
+            got_codegen, got_kernel, expected = (
+                statement.execute(params).rows for statement in statements
+            )
+            assert expected
+            assert got_codegen == expected, params
+            assert got_kernel == expected, params
+
     def test_none_parameter_matches_literal_semantics(self):
         """A bound NULL compares like the interpreter's NULL (no match)."""
         database = make_database()
@@ -143,9 +162,9 @@ class TestNoRecompilePerExecution:
         counter = {"calls": 0}
         original = Expression.compile
 
-        def counting(self, resolver=None):
+        def counting(self):
             counter["calls"] += 1
-            return original(self, resolver)
+            return original(self)
 
         Expression.compile = counting
         try:
@@ -175,9 +194,9 @@ class TestNoRecompilePerExecution:
         counter = {"calls": 0}
         original = Expression.compile
 
-        def counting(self, resolver=None):
+        def counting(self):
             counter["calls"] += 1
-            return original(self, resolver)
+            return original(self)
 
         Expression.compile = counting
         try:
@@ -316,20 +335,6 @@ class TestSlotInvalidationInteraction:
         assert fresh.execute((2,)).rows == [
             r for r in fresh.execute((2,)).rows
         ]
-
-    def test_ddl_clears_executor_context_cache(self):
-        """DDL drops the resolver-context closures keyed by table identity."""
-        database = make_database()
-        # Pin the compiled tier: the vectorized default serves this shape
-        # from its own lowered-plan cache without touching context compiles.
-        database._executor = type(database._executor)(
-            database.tables, mode="compiled"
-        )
-        statement = database.prepare("select * from orders where o_total > ?")
-        statement.execute((10.0,))
-        assert database._executor._context_cache
-        database.create_table("extra", [Column("x", ColumnType.INT)])
-        assert database._executor._context_cache == {}
 
     def test_ddl_clears_vectorized_plan_cache(self):
         """DDL drops the vectorized tier's plan and pipeline caches too."""

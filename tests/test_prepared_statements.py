@@ -3,7 +3,7 @@
 Covers the engine-level LRU statement cache (hit/miss/eviction counters,
 DDL invalidation), lazy estimate revalidation (``analyze()``, insert-driven
 table-version bumps), the index-backed point-lookup fast path, and
-compiled/interpreted equivalence through the prepared path.
+vectorized/interpreted equivalence through the prepared path.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from repro.db.schema import Column, ColumnType
 from repro.db.sqlparser import SQLSyntaxError, bind_parameters, parse_sql
 
 
-def make_database(*, compiled: bool = True, cache_size: int = 128) -> Database:
-    database = Database(
-        compiled_execution=compiled, statement_cache_size=cache_size
-    )
+def make_database(
+    *, mode: str = "vectorized", cache_size: int = 128
+) -> Database:
+    database = Database(execution_mode=mode, statement_cache_size=cache_size)
     database.create_table(
         "items",
         [
@@ -165,7 +165,7 @@ class TestPointLookupFastPath:
         statement = database.prepare("select * from items where grp = ?")
         assert statement.point_lookup is not None
         plan = parse_sql("select * from items where grp = ?")
-        reference = Executor(database.tables, compiled=False)
+        reference = Executor(database.tables, mode="interpreted")
         for key in (0, 1, 2, 3, 99, None):
             expected = reference.execute(bind_parameters(plan, (key,)))
             assert statement.execute((key,)).rows == expected
@@ -202,16 +202,17 @@ class TestPreparedEquivalence:
         "select * from items where item_id = ?",
     ]
 
-    def test_compiled_false_equivalence_through_prepared_path(self):
-        compiled = make_database(compiled=True)
-        interpreted = make_database(compiled=False)
-        # The interpreted engine never takes the index fast path.
-        assert interpreted.compiled_execution is False
+    def test_interpreted_equivalence_through_prepared_path(self):
+        vectorized = make_database()
+        interpreted = make_database(mode="interpreted")
         for sql in self.SQLS:
             params = (2,) if "?" in sql else ()
-            fast = compiled.execute_sql(sql, params)
+            fast = vectorized.execute_sql(sql, params)
             slow = interpreted.execute_sql(sql, params)
             assert fast.rows == slow.rows, sql
+            # The interpreted engine never takes the index fast path.
+            statement = interpreted.prepare(sql)
+            assert statement.last_execution_path == "interpreted", sql
 
     def test_prepared_and_unprepared_results_identical(self):
         database = make_database()

@@ -1,8 +1,8 @@
 """Property-based tests for the database engine (hypothesis).
 
 The executor is checked against brute-force Python implementations of the
-same relational operations on randomly generated tables, the three
-execution tiers (vectorized / compiled / interpreted) are checked to be
+same relational operations on randomly generated tables, the execution
+paths (vectorized codegen / vectorized kernels / interpreted) are checked to be
 row-identical (values *and* order) over generated schemas and query shapes,
 the SQL generator is checked to round-trip through the parser, and the
 async / pipelined client paths are checked to be row-identical to the
@@ -12,6 +12,8 @@ synchronous path over generated workloads.
 from __future__ import annotations
 
 import asyncio
+from contextlib import contextmanager
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,7 @@ from repro.db.expressions import BinaryOp, BooleanOp, ColumnRef, IsNull, Literal
 from repro.db.schema import Column, ColumnType
 from repro.db.sqlgen import to_sql
 from repro.db.sqlparser import parse_sql
+from repro.db.vectorized import VectorizedExecutor
 from repro.net.connection import SimulatedConnection
 from repro.net.network import FAST_LOCAL
 
@@ -261,17 +264,36 @@ def tier_case(draw):
     return names, rows, plan
 
 
+#: The execution paths the equivalence suites compare: fused codegen, the
+#: batch kernels alone (codegen off), and the interpreted oracle.
+TIERS = ("codegen", "kernel", "interpreted")
+
+
+@contextmanager
+def tier(name: str):
+    """Build and run executors of path ``name`` inside the block.
+
+    Yields the ``execution_mode`` to construct databases with; ``kernel``
+    switches codegen off for every vectorized executor created or run in
+    the block, shard-local executors included.
+    """
+    with patch.object(VectorizedExecutor, "codegen_enabled", name != "kernel"):
+        yield "interpreted" if name == "interpreted" else "vectorized"
+
+
 class TestTierEquivalence:
-    """vectorized ≡ compiled ≡ interpreted: identical rows, identical order."""
+    """codegen ≡ kernel ≡ interpreted: identical rows, identical order."""
 
     @staticmethod
     def assert_tiers_agree(database: Database, plan: algebra.PlanNode) -> None:
-        vectorized = Executor(database.tables, mode="vectorized")
-        compiled = Executor(database.tables, mode="compiled")
-        interpreted = Executor(database.tables, mode="interpreted")
-        expected = interpreted.execute(plan)
-        assert compiled.execute(plan) == expected
-        assert vectorized.execute(plan) == expected
+        outputs = []
+        for name in TIERS:
+            with tier(name) as mode:
+                executor = Executor(database.tables, mode=mode)
+                outputs.append(executor.execute(plan))
+        codegen, kernel, expected = outputs
+        assert kernel == expected
+        assert codegen == expected
 
     @given(case=tier_case())
     @settings(max_examples=120, deadline=None)
@@ -362,17 +384,15 @@ def _canon(rows):
 
 
 class TestShardedEquivalence:
-    """Sharded execution ≡ unsharded execution, across all three tiers.
+    """Sharded execution ≡ unsharded execution, on every execution path.
 
     Routed and fallback plans are row-identical *including order*;
     scatter-gather and partial-aggregate plans concatenate in shard order,
     so they are compared as normalized row sets — and exactly, including
     order, after a ``Sort`` whose keys are total (the distributed-engine
-    ordering contract).  The three sharded tiers must agree exactly with
-    each other in every case.
+    ordering contract).  The sharded paths must agree exactly with each
+    other in every case.
     """
-
-    MODES = ("vectorized", "compiled", "interpreted")
 
     @staticmethod
     def assert_sharded_matches_unsharded(
@@ -382,10 +402,13 @@ class TestShardedEquivalence:
             build_database(left, right).tables, mode="interpreted"
         ).execute(plan)
         outputs = []
-        for mode in TestShardedEquivalence.MODES:
-            database = build_sharded_database(left, right, shards, mode=mode)
-            outputs.append(database._executor.execute(plan))
-        # The three sharded tiers agree exactly (same routing, same gather
+        for name in TIERS:
+            with tier(name) as mode:
+                database = build_sharded_database(
+                    left, right, shards, mode=mode
+                )
+                outputs.append(database._executor.execute(plan))
+        # The sharded paths agree exactly (same routing, same gather
         # order), and each matches the unsharded interpreted reference.
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
@@ -408,15 +431,16 @@ class TestShardedEquivalence:
             reference_db.tables, mode="interpreted"
         ).execute(plan)
         outputs = []
-        for mode in self.MODES:
-            database = Database(execution_mode=mode)
-            database.create_table(
-                "t", [Column(name, ColumnType.INT) for name in names]
-            )
-            database.shard_table("t", names[0], shards)
-            database.insert("t", rows)
-            database.analyze()
-            outputs.append(database._executor.execute(plan))
+        for name in TIERS:
+            with tier(name) as mode:
+                database = Database(execution_mode=mode)
+                database.create_table(
+                    "t", [Column(column, ColumnType.INT) for column in names]
+                )
+                database.shard_table("t", names[0], shards)
+                database.insert("t", rows)
+                database.analyze()
+                outputs.append(database._executor.execute(plan))
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
         assert _canon(outputs[0]) == _canon(reference)

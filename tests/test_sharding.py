@@ -426,7 +426,7 @@ class TestDatabaseSharding:
         # must still raise — the plan must not pin to one shard.  With the
         # shard-key conjunct first, unsharded execution short-circuits the
         # other shards' rows identically, so routing is sound.
-        for mode in ("vectorized", "compiled", "interpreted"):
+        for mode in ("vectorized", "interpreted"):
             sharded = build_database(shards=4, mode=mode)
             sharded.table("orders").update_rows(
                 lambda row: row["o_id"] == 0, {"o_total": 0}
@@ -521,7 +521,7 @@ class TestShardAwarePointLookup:
         assert database.sharding_stats()["fallback"] >= 1
 
     def test_point_lookup_matches_generic_path_across_modes(self):
-        for mode in ("vectorized", "compiled", "interpreted"):
+        for mode in ("vectorized", "interpreted"):
             database = build_database(shards=4, mode=mode)
             rows = database.execute_sql(
                 "select * from orders where o_c_id = 7"
@@ -746,9 +746,9 @@ class TestEngineFacade:
 class TestShardedExecutionModes:
     """Routing participates identically in all three executor tiers."""
 
-    @pytest.mark.parametrize("mode", ["vectorized", "compiled", "interpreted"])
-    def test_tier_rows_identical_under_sharding(self, mode):
-        sharded = build_database(shards=4, mode=mode)
+    @pytest.mark.parametrize("mode", ["vectorized", "kernel", "interpreted"])
+    def test_tier_rows_identical_under_sharding(self, mode, tier):
+        sharded = build_database(shards=4, mode=tier)
         reference = build_database(mode="interpreted")
         for sql in (
             "select * from orders where o_c_id = 3",
@@ -764,6 +764,8 @@ class TestShardedExecutionModes:
                 (k, repr(v)) for k, v in r.items()
             )
             assert sorted(got, key=key) == sorted(want, key=key), (mode, sql)
+        codegen = sharded.execution_stats()["vectorized"]["codegen_executions"]
+        assert (codegen > 0) == (mode == "vectorized")
 
     def test_execution_stats_fold_in_shard_executor_counters(self):
         database = build_database(shards=4, mode="vectorized")

@@ -4,8 +4,7 @@ Covers the physical-layout inference (``encode_column`` and the storage-mode
 knob), the lifecycle of the encoded views across mutation and shard
 rehoming, the wide-row template cache, bit-identical results across every
 {storage mode} x {codegen, kernel} x {execution tier} combination (sharded
-and unsharded), the new codegen observability counters, and the optional
-numpy filter backend including its graceful degradation without numpy.
+and unsharded), and the codegen observability counters.
 """
 
 from __future__ import annotations
@@ -14,11 +13,9 @@ from array import array
 
 import pytest
 
-from repro.db import vector_backend
 from repro.db.database import Database
 from repro.db.schema import Column, ColumnType
 from repro.db.table import STORAGE_MODES, Table, encode_column
-from repro.db.vector_backend import resolve_backend
 
 
 def make_database(**kwargs) -> Database:
@@ -246,7 +243,7 @@ class TestStorageTierEquivalence:
 
     @pytest.mark.parametrize("storage", STORAGE_MODES)
     @pytest.mark.parametrize("codegen", [True, False])
-    @pytest.mark.parametrize("mode", ["vectorized", "compiled", "interpreted"])
+    @pytest.mark.parametrize("mode", ["vectorized", "interpreted"])
     def test_unsharded_rows_identical(self, reference, storage, codegen, mode):
         database = make_database(execution_mode=mode)
         for table in database.tables.values():
@@ -279,6 +276,56 @@ class TestStorageTierEquivalence:
                 if executor._vectorized is not None:
                     executor._vectorized.codegen_enabled = codegen
             assert canon(got) == canon(reference[sql]), (storage, codegen, sql)
+
+
+#: One predicate each: comparisons on the int64/float64 sidecars and on
+#: dictionary codes, and null tests reading the null bitmaps.  The column
+#: list keeps equality filters off the prepared point-lookup fast path.
+SELECT_WHERE = "select o_id, o_c_id, o_total, o_status from orders where"
+SINGLE_PREDICATE_QUERIES = [
+    SELECT_WHERE + " o_total > 3.0",
+    SELECT_WHERE + " o_total <= 12.0",
+    SELECT_WHERE + " o_c_id = 3",
+    SELECT_WHERE + " o_status = 'OPEN'",
+    SELECT_WHERE + " o_status != 'DONE'",
+    SELECT_WHERE + " o_total is null",
+    SELECT_WHERE + " o_c_id is not null",
+]
+
+
+class TestSinglePredicateFilters:
+    """Each filter alone, in every storage mode: codegen ≡ kernel ≡
+    interpreted, in identical order."""
+
+    @pytest.mark.parametrize("sql", SINGLE_PREDICATE_QUERIES)
+    def test_filter_matches_across_paths(self, sql):
+        expected = make_database(execution_mode="interpreted").execute_sql(
+            sql
+        ).rows
+        assert expected
+        for storage in STORAGE_MODES:
+            database = make_database()
+            database.table("orders").set_storage_mode(storage)
+            vectorized = database._executor._vectorized
+            for codegen in (True, False):
+                vectorized.codegen_enabled = codegen
+                statement = database.prepare(sql)
+                assert statement.execute().rows == expected, (storage, codegen)
+                path = "codegen" if codegen else "kernel"
+                assert statement.last_execution_path == path
+
+    @pytest.mark.parametrize("codegen", [True, False], ids=["codegen", "kernel"])
+    def test_cached_plan_reads_current_parameter(self, codegen):
+        """A prepared filter re-executed with a new value answers for that
+        value, though its pipeline (or lowered plan) is served from cache."""
+        database = make_database()
+        database._executor._vectorized.codegen_enabled = codegen
+        statement = database.prepare("select * from orders where o_total > ?")
+        low = statement.execute((3.0,)).rows
+        high = statement.execute((12.0,)).rows
+        assert len(high) < len(low)
+        assert all(row["o_total"] > 12.0 for row in high)
+        assert statement.execute((3.0,)).rows == low
 
 
 class TestCodegenObservability:
@@ -333,11 +380,10 @@ class TestCodegenObservability:
         assert "executed: vectorized via codegen" in result.render()
         assert result.as_dict()["execution"]["path"] == "codegen"
 
-    def test_execution_stats_include_backend_and_encodings(self):
+    def test_execution_stats_include_encodings(self):
         database = make_database()
         database.execute_sql("select * from orders where o_total > 3.0")
         stats = database.execution_stats()["vectorized"]
-        assert stats["backend"]["requested"] in ("python", "numpy")
         assert stats["encodings"].get("dict", 0) >= 1
         assert stats["encodings"].get("int64", 0) >= 1
 
@@ -349,90 +395,3 @@ class TestCodegenObservability:
         # One codegen execution counted per shard that ran the pipeline.
         assert stats["codegen_executions"] >= 3
         assert stats["pipelines_compiled"] >= 3
-
-
-class TestVectorBackendResolution:
-    def test_unknown_backend_degrades_to_python(self):
-        assert resolve_backend("arrow") == ("python", "python")
-
-    def test_none_consults_environment(self, monkeypatch):
-        monkeypatch.setenv(vector_backend.BACKEND_ENV, "numpy")
-        requested, active = resolve_backend(None)
-        assert requested == "numpy"
-        assert active == ("numpy" if vector_backend.numpy_available()
-                          else "python")
-
-    def test_numpy_request_degrades_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(vector_backend, "_np", None)
-        assert resolve_backend("numpy") == ("numpy", "python")
-        assert vector_backend.make_filter_backend("numpy", lambda r: None) is None
-
-    def test_database_set_vector_backend(self):
-        database = make_database()
-        database.set_vector_backend("numpy")
-        vectorized = database._executor._vectorized
-        assert vectorized.backend_requested == "numpy"
-        expected = (
-            "numpy" if vector_backend.numpy_available() else "python"
-        )
-        assert vectorized.backend == expected
-
-    def test_engine_builder_vector_backend(self):
-        from repro.api.engine import Engine
-
-        engine = (
-            Engine.builder()
-            .orders_workload(num_orders=200)
-            .vector_backend("numpy")
-            .build()
-        )
-        stats = engine.database.execution_stats()["vectorized"]
-        assert stats["backend"]["requested"] == "numpy"
-
-
-@pytest.mark.skipif(
-    not vector_backend.numpy_available(), reason="numpy not installed"
-)
-class TestNumpyFilterBackend:
-    def _database(self) -> Database:
-        database = make_database(vector_backend="numpy")
-        # Force the kernel path so the numpy position filters (a kernel
-        # accelerator) actually run instead of the fused codegen loops.
-        database._executor._vectorized.codegen_enabled = False
-        return database
-
-    @pytest.mark.parametrize(
-        "sql",
-        [
-            "select * from orders where o_total > 3.0",
-            "select * from orders where o_total <= 12.0",
-            "select * from orders where o_c_id = 3",
-            "select * from orders where o_status = 'OPEN'",
-            "select * from orders where o_status != 'DONE'",
-            "select * from orders where o_total is null",
-            "select * from orders where o_c_id is not null",
-        ],
-    )
-    def test_numpy_filters_match_python_kernels(self, sql):
-        reference = make_database()
-        reference._executor._vectorized.codegen_enabled = False
-        database = self._database()
-        assert database.execute_sql(sql).rows == reference.execute_sql(sql).rows
-
-    def test_boxed_column_counts_untyped_reason(self):
-        database = self._database()
-        database.table("orders").set_storage_mode("boxed")
-        rows = database.execute_sql(
-            "select * from orders where o_total > 3.0"
-        ).rows
-        assert rows  # python kernel still answered
-        reasons = database.execution_stats()["vectorized"]["fallback_reasons"]
-        assert reasons.get("untyped_column", 0) >= 1
-
-    def test_parameter_slots_read_current_value(self):
-        database = self._database()
-        statement = database.prepare("select * from orders where o_total > ?")
-        low = statement.execute((3.0,)).rows
-        high = statement.execute((12.0,)).rows
-        assert len(high) < len(low)
-        assert all(row["o_total"] > 12.0 for row in high)

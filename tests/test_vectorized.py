@@ -1,14 +1,21 @@
 """Unit tests for the vectorized batch execution tier.
 
-Covers mode selection, row-identical results against both row tiers over
-every operator, late-materialization layouts, per-subtree fallback to the
-compiled tier, error parity, tier counters, prepared-statement slot reuse,
-and the columnar-view plumbing the tier scans.
+Covers mode selection, row-identical results (codegen ≡ kernel ≡
+interpreted) over every operator, late-materialization layouts, per-subtree
+fallback to the interpreted tier, error parity, tier counters,
+prepared-statement slot reuse, the columnar-view plumbing the tier scans,
+and the tier's dependency footprint (no numpy import).
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.db import algebra
 from repro.db.database import Database
@@ -70,18 +77,21 @@ def make_database() -> Database:
 
 
 def executors(database: Database) -> tuple[Executor, Executor, Executor]:
+    """(codegen, kernel-only, interpreted) executors over ``database``."""
+    kernel = Executor(database.tables, mode="vectorized")
+    kernel._vectorized.codegen_enabled = False
     return (
         Executor(database.tables, mode="vectorized"),
-        Executor(database.tables, mode="compiled"),
+        kernel,
         Executor(database.tables, mode="interpreted"),
     )
 
 
 def assert_tiers_agree(database: Database, plan: algebra.PlanNode) -> list:
-    vectorized, compiled, interpreted = executors(database)
+    codegen, kernel, interpreted = executors(database)
     expected = interpreted.execute(plan)
-    assert compiled.execute(plan) == expected
-    assert vectorized.execute(plan) == expected
+    assert kernel.execute(plan) == expected
+    assert codegen.execute(plan) == expected
     return expected
 
 
@@ -91,20 +101,24 @@ class TestModeSelection:
         assert Executor(database.tables).mode == "vectorized"
         assert database.execution_mode == "vectorized"
 
-    def test_compiled_false_means_interpreted(self):
+    def test_modes_are_vectorized_and_interpreted(self):
         database = make_database()
-        assert Executor(database.tables, compiled=False).mode == "interpreted"
+        assert Executor.MODES == ("vectorized", "interpreted")
+        assert Executor(database.tables, mode="interpreted").mode == (
+            "interpreted"
+        )
 
     def test_unknown_mode_rejected(self):
         database = make_database()
         with pytest.raises(ValueError, match="unknown execution mode"):
             Executor(database.tables, mode="turbo")
 
-    def test_database_execution_mode_overrides_compiled_flag(self):
+    def test_database_execution_mode_selects_the_tier(self):
         database = Database(execution_mode="interpreted")
         assert database.execution_mode == "interpreted"
-        assert database.compiled_execution is False
-        assert Database(execution_mode="compiled").compiled_execution is True
+        assert database._executor._vectorized is None
+        with pytest.raises(ValueError, match="unknown execution mode"):
+            Database(execution_mode="compiled")
 
 
 class TestTierCounters:
@@ -118,11 +132,11 @@ class TestTierCounters:
         executor.execute(plan)
         executor.execute(plan)
         assert executor.tier_counts["vectorized"] == 2
-        assert executor.tier_counts["compiled"] == 0
+        assert executor.tier_counts["interpreted"] == 0
         assert executor.vectorized_stats["executions"] == 2
         assert executor.vectorized_stats["fallbacks"] == 0
 
-    def test_unvectorizable_plan_falls_back_to_compiled(self):
+    def test_unvectorizable_plan_falls_back_to_interpreted(self):
         database = make_database()
         executor = Executor(database.tables, mode="vectorized")
         # Theta joins have no vectorized lowering.
@@ -132,9 +146,10 @@ class TestTierCounters:
             BinaryOp("<", ColumnRef("o_c_id", "o"), ColumnRef("c_id", "c")),
         )
         rows = executor.execute(plan)
-        assert rows == Executor(database.tables, mode="compiled").execute(plan)
+        reference = Executor(database.tables, mode="interpreted")
+        assert rows == reference.execute(plan)
         assert executor.tier_counts["vectorized"] == 0
-        assert executor.tier_counts["compiled"] == 1
+        assert executor.tier_counts["interpreted"] == 1
         assert executor.vectorized_stats["fallbacks"] == 1
 
     def test_unsupported_subtree_falls_back_per_subtree(self):
@@ -146,10 +161,11 @@ class TestTierCounters:
             BinaryOp("<", ColumnRef("o_c_id", "o"), ColumnRef("c_id", "c")),
         )
         # The Sort above the theta join still runs vectorized; the join
-        # subtree executes compiled and is adapted into a batch.
+        # subtree executes interpreted and is adapted into a batch.
         plan = algebra.Sort(theta_join, (algebra.SortKey(ColumnRef("o_id"), False),))
         rows = executor.execute(plan)
-        assert rows == Executor(database.tables, mode="compiled").execute(plan)
+        reference = Executor(database.tables, mode="interpreted")
+        assert rows == reference.execute(plan)
         assert executor.tier_counts["vectorized"] == 1
         assert executor.vectorized_stats["subtree_fallbacks"] == 1
 
@@ -157,11 +173,7 @@ class TestTierCounters:
         database = make_database()
         executor = Executor(database.tables, mode="interpreted")
         executor.execute(algebra.Scan("orders"))
-        assert executor.tier_counts == {
-            "vectorized": 0,
-            "compiled": 0,
-            "interpreted": 1,
-        }
+        assert executor.tier_counts == {"vectorized": 0, "interpreted": 1}
 
 
 class TestFallbackReasons:
@@ -203,8 +215,8 @@ class TestFallbackReasons:
         database = make_database()
         executor = Executor(database.tables, mode="vectorized")
         # o_total contains NULLs mixed with floats: comparing against a
-        # string raises inside the kernel, re-runs compiled, and raises the
-        # row-tier error to the caller.
+        # string raises inside the kernel, re-runs interpreted, and raises
+        # the row-tier error to the caller.
         plan = algebra.Select(
             algebra.Scan("orders"),
             BinaryOp(">", ColumnRef("o_total"), Literal("oops")),
@@ -530,7 +542,7 @@ class TestErrorParity:
         )
         with pytest.raises(ExpressionError, match="not found"):
             executor.execute(plan)
-        # The failure fell back to (and was raised by) the compiled tier.
+        # The failure fell back to (and was raised by) the interpreted tier.
         assert executor.vectorized_stats["fallbacks"] == 1
 
 
@@ -694,25 +706,77 @@ class TestColumnBatch:
         assert batch.resolve(ColumnRef("missing")) is None
 
 
-class TestContextCacheLRU:
+class TestPlanCacheLRU:
     def test_eviction_is_lru_not_wholesale(self):
         database = make_database()
-        executor = Executor(database.tables, mode="compiled")
-        limit = Executor.COMPILE_CACHE_LIMIT
-        hot = algebra.Select(
+        executor = Executor(database.tables, mode="vectorized")
+        vectorized = executor._vectorized
+        limit = vectorized.OP_CACHE_LIMIT
+        hot = algebra.Sort(
             algebra.Scan("orders", "o"),
-            BinaryOp(">", ColumnRef("o_total", "o"), Literal(-1.0)),
+            (algebra.SortKey(ColumnRef("o_total", "o"), True),),
         )
         executor.execute(hot)
-        hot_keys = set(executor._context_cache)
         for value in range(limit + 16):
-            executor.execute(hot)  # keep the hot entries recently used
+            executor.execute(hot)  # keep the hot entry recently used
             executor.execute(
                 algebra.Select(
                     algebra.Scan("orders", "o"),
                     BinaryOp(">", ColumnRef("o_total", "o"), Literal(float(value))),
                 )
             )
-        assert len(executor._context_cache) <= limit
-        # The hot shape survived the churn instead of being flushed.
-        assert hot_keys <= set(executor._context_cache)
+        assert len(vectorized._ops) <= limit
+        # The hot plan survived the churn instead of being flushed.
+        assert hot in vectorized._ops
+
+    def test_pipeline_eviction_is_lru_not_wholesale(self):
+        database = make_database()
+        executor = Executor(database.tables, mode="vectorized")
+        vectorized = executor._vectorized
+        vectorized.PIPELINE_CACHE_LIMIT = limit = 8
+
+        def scan_filter(value):
+            return algebra.Select(
+                algebra.Scan("orders", "o"),
+                BinaryOp(">", ColumnRef("o_total", "o"), Literal(value)),
+            )
+
+        hot = scan_filter(-1.0)
+        expected = executor.execute(hot)
+        for value in range(limit + 4):
+            assert executor.execute(hot) == expected
+            executor.execute(scan_filter(float(value)))
+        assert vectorized.codegen_executions == 2 * (limit + 4) + 1
+        assert len(vectorized._pipelines) == limit
+        # The hot pipeline stayed cached: compiled once, then always hit.
+        assert any(key[0] is hot for key in vectorized._pipelines)
+        assert vectorized.pipelines_compiled == limit + 5
+
+
+class TestDependencyFootprint:
+    def test_vectorized_execution_never_imports_numpy(self):
+        """The engine is pure Python: building an engine and running a
+        vectorized query must not pull numpy into the process."""
+        script = (
+            "import sys\n"
+            "from repro.api import Engine\n"
+            "builder = Engine.builder().orders_workload(num_orders=200)\n"
+            "database = builder.build().database\n"
+            "sql = 'select * from orders where o_quantity > 2'\n"
+            "database.execute_sql(sql)\n"
+            "assert database._executor.last_tier == 'vectorized'\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [source_root, env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr

@@ -193,13 +193,11 @@ class TestRecoveredDatabase:
         recovered = Database.recover(database.wal)
         assert recovered._next_txn_id > database.wal.max_txn_id()
 
-    @pytest.mark.parametrize(
-        "mode", ["interpreted", "compiled", "vectorized"]
-    )
-    def test_shard_key_update_rehomes_identically_on_every_tier(self, mode):
+    @pytest.mark.parametrize("mode", ["interpreted", "vectorized", "kernel"])
+    def test_shard_key_update_rehomes_identically_on_every_tier(self, tier):
         """WAL replay of a shard-key UPDATE must rehome rows exactly like
         the live path, on every executor tier."""
-        live = Database(wal=True, execution_mode=mode)
+        live = Database(wal=True, execution_mode=tier)
         live.create_table("people", PEOPLE_COLUMNS, primary_key="person_id")
         live.insert(
             "people",
@@ -212,7 +210,7 @@ class TestRecoveredDatabase:
         # The shard-key move: every pune row rehomes to goa's shard.
         live.execute_update_sql("update people set city = 'goa' where city = 'pune'")
 
-        recovered = Database.recover(live.wal, execution_mode=mode)
+        recovered = Database.recover(live.wal, execution_mode=tier)
         live_table = live.table("people")
         recovered_table = recovered.table("people")
         assert isinstance(recovered_table, ShardedTable)
@@ -230,7 +228,7 @@ class TestRecoveredDatabase:
         assert (
             live.execute_sql(sql).rows == recovered.execute_sql(sql).rows
         )
-        assert recovered.execution_mode == mode
+        assert recovered.execution_mode == tier
 
 
 class TestCheckpoint:
