@@ -39,9 +39,10 @@ test-columnar:
 # The parallel scatter-gather suites: worker-pool units, the parallel ≡
 # serial scatter ≡ unsharded equivalence sweep across codegen, kernel and
 # interpreted execution in serial and thread pool modes (fallback plans
-# and mid-scatter errors included), sorted-run merging, out-of-order
-# partial-aggregate merging, counter accounting, and the parallel trace
-# breakdown.
+# and mid-scatter errors included), the single-table reads that run on the
+# aggregate view without touching the pool, sorted-run merging,
+# out-of-order partial-aggregate merging, counter accounting, and the
+# parallel trace breakdown.
 test-parallel:
 	python -m pytest tests/test_parallel.py -q
 
@@ -56,7 +57,9 @@ bench-suite:
 # Scaled-down benchmark run used by CI (covers every bench entry, including
 # the executor ones — scan_filter, hash_join, hash_join_wide, aggregate
 # (vectorized ≡ kernel ≡ interpreted row equality asserted) — the sharded ones — sharded_point_lookup,
-# sharded_scan_filter, sharded_aggregate — and the robustness ones —
+# sharded_scan_filter (aggregate-view route and exact row order asserted),
+# sharded_aggregate — the parallel one — parallel_aggregate (pool ≡ serial
+# row equality asserted) — and the robustness ones —
 # wal_overhead (recovery equivalence asserted, group-commit delta included)
 # and fault_retry_convergence (faulty ≡ fault-free row equality asserted) —
 # and the concurrency ones — mvcc_reader_writer (snapshot consistency and

@@ -717,12 +717,18 @@ class Engine:
         return Session(registry, connection or self.connect())
 
     def runtime(self) -> AppRuntime:
-        """A fresh application runtime wired to this engine's components."""
+        """A fresh application runtime wired to this engine's components.
+
+        Its connection comes from :meth:`connect`, so the runtime's traffic
+        counts in :meth:`stats`, :meth:`close` closes it, and it runs under
+        the engine's faults, retries, admission and tracer.
+        """
         return AppRuntime(
             database=self.database,
             network=self.network,
             registry=self.registry,
             statement_cost=self.statement_cost,
+            connection=self.connect(),
         )
 
     # -- optimization ----------------------------------------------------

@@ -32,7 +32,6 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.appsim.cache import ClientCache
 from repro.db.database import Database, QueryResult
-from repro.net.clock import VirtualClock
 from repro.net.connection import SimulatedConnection
 from repro.net.network import NetworkConditions
 from repro.orm.mapping import MappingRegistry
@@ -69,11 +68,15 @@ class AppRuntime:
         network: NetworkConditions,
         registry: Optional[MappingRegistry] = None,
         statement_cost: float = DEFAULT_STATEMENT_COST,
+        connection: Optional[SimulatedConnection] = None,
     ) -> None:
         self.database = database
         self.network = network
-        self.clock = VirtualClock()
-        self.connection = SimulatedConnection(database, network, self.clock)
+        #: the link the program talks through — an engine-issued one (with
+        #: the engine's faults, retries, admission and tracer) or a plain
+        #: one; its clock is the runtime's clock.
+        self.connection = connection or SimulatedConnection(database, network)
+        self.clock = self.connection.clock
         self.registry = registry or MappingRegistry()
         self.orm = Session(self.registry, self.connection)
         self.cache = ClientCache()

@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help=(
-            "execute scatter-gather shards on an N-worker pool "
+            "execute shard-local plans on an N-worker pool "
             "(0 = serial; requires --shards)"
         ),
     )
@@ -299,7 +299,7 @@ def _print_stats(engine: Engine, out) -> None:
     """Render ``engine.stats()`` as aligned ``group.counter : value`` lines.
 
     Nested counter groups (the executor's per-tier and vectorized
-    fallback-reason counters, the sharding routed/local/scatter counts, the
+    fallback-reason counters, the sharding routed/local/fallback counts, the
     tracing and metrics summaries) flatten into dotted paths, one counter
     per line, sorted at every level so the output is diff-stable.
     """

@@ -760,7 +760,7 @@ class Database:
         order in the aggregate view.  Sharding is DDL-like: the statement
         cache and the executor's table-identity-keyed caches are dropped,
         and the shard router is (re)installed so subsequent plans route
-        through single-shard / shard-local / scatter-gather execution.
+        through single-shard / shard-local / aggregate-view execution.
         """
         self._check_no_transaction("shard_table")
         table = self.table(name)
@@ -1426,8 +1426,8 @@ class Database:
         vectorized attempt that fell back is counted under the tier that
         actually served it); ``vectorized`` details the vectorized tier's
         own fallback counters, including per-reason counts
-        (``fallback_reasons``).  Under sharding, routed / shard-local /
-        scatter executions run on per-shard executors — their counters are
+        (``fallback_reasons``).  Under sharding, routed and shard-local
+        executions run on per-shard executors — their counters are
         folded in here (one count per shard that executed), so tier and
         fallback observability survives sharding.  Surfaced by
         ``Engine.stats()``.
@@ -1463,9 +1463,10 @@ class Database:
         ``routed`` counts single-shard executions (point predicates on the
         shard key, including the prepared point-lookup fast path),
         ``local`` counts shard-local parallel executions (co-partitioned
-        equi-joins and partial-aggregate merges), ``scatter`` counts
-        scatter-gather executions, and ``fallback`` counts plans over
-        sharded tables that ran unrouted against the aggregate view.  All
+        equi-joins and partial-aggregate merges), and ``fallback`` counts
+        plans over sharded tables that ran unrouted against the aggregate
+        view — every row-returning read over one sharded table among them.
+        ``scatter`` is kept for existing readers and is always 0.  All
         zeros (and an empty ``tables`` map) when nothing is sharded.
         """
         router = self._router

@@ -1,4 +1,4 @@
-"""Horizontal hash sharding: partitioned tables and scatter-gather execution.
+"""Horizontal hash sharding: partitioned tables and shard-local execution.
 
 This module makes partitioned storage a first-class layer of the engine:
 
@@ -29,28 +29,31 @@ This module makes partitioned storage a first-class layer of the engine:
     child run as per-shard *partial* aggregates (avg decomposed into
     sum + count) merged at the gather node with the same
     :data:`~repro.db.vectorized.AGGREGATE_MERGERS` kernels the vectorized
-    tier accumulates with.
-  - **scatter-gather** — everything else distributable: the plan executes
-    per shard and the results are concatenated at a gather node, in shard
-    order.  On the vectorized tier the gather ships
-    :class:`~repro.db.vectorized.ColumnBatch` objects (selection vectors
-    composed per shard) and materializes rows only once, at the root; the
-    interpreted tier concatenates per-shard row lists.
+    tier accumulates with.  The per-shard plans run serially or on the
+    worker pool; on the vectorized tier the gather ships
+    :class:`~repro.db.vectorized.ColumnBatch` objects and materializes
+    rows only once, at the root, and the interpreted tier concatenates
+    per-shard row lists.
+  - **aggregate view** (``fallback``) — everything else runs unrouted, once,
+    over the aggregate view, which is always correct: sharding can
+    restrict where a plan runs, never what it returns.  This covers the
+    plans the router cannot prove distributable (``Limit``,
+    non-co-partitioned joins of two sharded tables, operators over
+    sharded subtrees it cannot reason about) *and* every other plan that
+    scans one sharded table once — a Select/Project spine, a root
+    ``Sort``, joins with unsharded broadcast sides.  Per-shard execution
+    of those would move every surviving row through the gather anyway, so
+    it could only add work: N pipelines, a concatenation, a hand-off per
+    shard on the pool, and N builds of a broadcast join's hash table.
 
-  Plans the router cannot prove distributable (``Limit``, non-co-partitioned
-  joins of two sharded tables, operators over sharded subtrees it cannot
-  reason about) **fall back** to unrouted execution over the aggregate
-  view, which is always correct — sharding can restrict where a plan runs,
-  never what it returns.
-
-Ordering contract: routed and fallback executions are row-identical to the
-unsharded engine *including order*.  Scatter-gather and partial-aggregate
-merges concatenate in shard order, so their output is deterministic and
-identical across the two tiers, and matches unsharded execution up to
-row order (exactly, after a ``Sort`` whose keys are total; up to ties
-otherwise — the usual distributed-engine contract).  Floating-point sums
-may likewise differ in the last ulp because per-shard partials reassociate
-the addition.
+Ordering contract: routed and aggregate-view executions are row-identical
+to the unsharded engine *including order*.  Only partial-aggregate merges
+and co-partitioned joins may reorder rows: they concatenate in shard
+order, so their output is deterministic and identical across the tiers,
+and matches unsharded execution up to row order (exactly, after a
+``Sort`` whose keys are total; up to ties otherwise — the usual
+distributed-engine contract).  Floating-point sums may likewise differ in
+the last ulp because per-shard partials reassociate the addition.
 """
 
 from __future__ import annotations
@@ -220,19 +223,20 @@ class ShardedTable(Table):
 class ShardingStats:
     """Counters for the router's execution classes."""
 
-    __slots__ = ("routed", "local", "scatter", "fallback")
+    __slots__ = ("routed", "local", "fallback")
 
     def __init__(self) -> None:
         self.routed = 0
         self.local = 0
-        self.scatter = 0
         self.fallback = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
             "routed": self.routed,
             "local": self.local,
-            "scatter": self.scatter,
+            # Single-table row reads run on the aggregate view and count as
+            # fallbacks; the key stays, always 0, for existing readers.
+            "scatter": 0,
             "fallback": self.fallback,
         }
 
@@ -242,7 +246,7 @@ class _Route:
 
     ``post`` is a tuple of row-list transforms (compiled once at
     classification time) the gather node applies after collecting the
-    per-shard results — the root ``Sort`` of a scatter, or the
+    per-shard results — the root ``Sort`` of a co-partitioned join, or the
     ``Select`` / ``Project`` / ``Sort`` spine sitting above a partially
     aggregated node.
 
@@ -250,7 +254,7 @@ class _Route:
     ``post``: the *original* plan (Sort included, so each shard returns a
     sorted run) plus a compiled total-order merge key, letting the gather
     k-way merge the runs instead of re-sorting the concatenation.  Only
-    set for scatter/local-join routes whose root is a ``Sort``.
+    set for local-join routes whose root is a ``Sort``.
     """
 
     __slots__ = (
@@ -577,7 +581,7 @@ class ShardRouter:
             if self.last_parallel is not None:
                 self.last_route["parallel"] = self.last_parallel
             return rows
-        # scatter (single sharded table) / local (co-partitioned join)
+        # local-join: a co-partitioned join, executed join-per-shard
         if parallel and route.merge is not None:
             # Each shard executes the original plan, Sort included, and
             # returns a sorted run; the gather k-way merges the runs
@@ -597,10 +601,7 @@ class ShardRouter:
             rows = route.apply_post(
                 self._scatter(route.node, route.names, count)
             )
-        if kind == "local-join":
-            self.stats.local += 1
-        else:
-            self.stats.scatter += 1
+        self.stats.local += 1
         if self.last_parallel is not None:
             self.last_route["parallel"] = self.last_parallel
         return rows
@@ -611,7 +612,7 @@ class ShardRouter:
         Returns ``{"kind": ..., "shards": ...}`` where ``shards`` is the
         tuple of shard indices the plan would touch — a single index for a
         routed point access (when the shard-key value is already bound),
-        every shard for scatter/local plans, and ``None`` when the shard
+        every shard for shard-local plans, and ``None`` when the shard
         set is unknown before execution.
         """
         route = self._route(plan)
@@ -644,7 +645,7 @@ class ShardRouter:
     def execution_counters(self) -> tuple[dict[str, int], dict[str, Any]]:
         """Summed (tier counts, vectorized stats) of every shard executor.
 
-        Routed / shard-local / scatter executions run on per-shard
+        Routed and shard-local executions run on per-shard
         executors whose counters would otherwise be invisible; the owning
         database folds these into ``execution_stats()`` so per-tier and
         fallback-reason observability survives sharding.
@@ -905,8 +906,15 @@ class ShardRouter:
                 post=tuple(self._compile_spine(spine)),
                 partial=_PartialAggregate(node),
             )
-        # Scatter / co-partitioned join: Select and Project distribute into
-        # the per-shard plans; only a root Sort runs at the gather node
+        if len(sharded) == 1:
+            # One sharded scan under a Select/Project spine, a root Sort or
+            # broadcast joins: every surviving row would pass the gather
+            # anyway, so one pipeline over the aggregate view does the same
+            # work without N shard pipelines, a concat and a per-shard
+            # hand-off — and keeps global insertion order.
+            return _FALLBACK
+        # Co-partitioned join: Select and Project distribute into the
+        # per-shard plans; only a root Sort runs at the gather node
         # (serial), or turns into a sorted-run k-way merge (parallel).
         node = plan
         post: tuple = ()
@@ -916,12 +924,11 @@ class ShardRouter:
             merge = (plan, self._compile_merge_key(node))
             node = node.child
         distributed = self._distribute(node)
-        if distributed is None or not distributed[1]:
+        if distributed is None:
             return _FALLBACK
-        kind, names = distributed
         return _Route(
-            "local-join" if len(names) > 1 else "scatter",
-            names=names,
+            "local-join",
+            names=distributed[1],
             node=node,
             post=post,
             merge=merge,

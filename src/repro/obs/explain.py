@@ -3,7 +3,7 @@
 ``Database.explain`` delegates here: the prepared statement's execution
 template is walked into one line per operator carrying the optimizer's
 cardinality estimate, the router's classification (routed / shard-local /
-scatter / fallback, with shard ids when they are known before execution),
+fallback, with shard ids when they are known before execution),
 and the execution tier the plan is predicted to run on.
 
 ``EXPLAIN ANALYZE`` additionally executes the statement and annotates every

@@ -6,6 +6,7 @@ import pytest
 
 from repro.api import Engine, EngineClosedError, EngineConfigError, connect
 from repro.net.connection import ConnectionClosedError
+from repro.net.faults import RetryPolicy
 from repro.core.catalog import catalog_for_network
 from repro.core.optimizer import CobraOptimizer
 from repro.db.database import Database
@@ -246,6 +247,42 @@ class TestEngineStats:
         stats = engine.stats()
         assert stats["network"]["connections"] == 5
         assert stats["network"]["queries"] == 5
+
+
+class TestEngineRuntime:
+    """``Engine.runtime()`` talks through an engine-issued connection."""
+
+    def test_runtime_traffic_runs_under_the_engine(self):
+        engine = (
+            Engine.builder()
+            .orders_workload(num_orders=60, num_customers=12)
+            .network("fast-local")
+            .fault_rate(0.5, seed=3)
+            .retries(RetryPolicy(max_attempts=30))
+            .tracing()
+            .build()
+        )
+        runtime = engine.runtime()
+        assert runtime.clock is runtime.connection.clock
+        measurement = runtime.measure(
+            lambda rt: [
+                rt.execute_query("select * from orders where o_id = ?", (key,))
+                for key in range(1, 21)
+            ]
+        )
+        assert all(len(rows) == 1 for rows in measurement.result)
+        stats = engine.stats()
+        # Counted with the engine's connections ...
+        assert stats["network"]["connections"] == 1
+        assert stats["network"]["queries"] == 20
+        # ... under its fault policy (retried to success) and tracer.
+        assert stats["faults"]["injected"] > 0
+        assert stats["faults"]["retries"] > 0
+        assert engine.tracer.traces_recorded >= 20
+        # Virtual time includes the retries' backoff on the runtime clock.
+        assert measurement.elapsed_seconds == runtime.clock.now > 0
+        engine.close()
+        assert runtime.connection.closed
 
 
 class TestConnect:

@@ -140,7 +140,19 @@ class TestSyncSpanAccounting:
         assert execute.attributes["tier"] == tier
         route = engine.tracer.traces[-1].find("route")
         if shards:
-            assert route.attributes["kind"] == "scatter"
+            # One sharded scan under a filter runs once, on the aggregate
+            # view, so the main executor's tier is the one reported.
+            assert route.attributes["kind"] == "fallback"
+            assert route.attributes["shards"] is None
+            # A grouped aggregate still runs per shard and reports the
+            # shard executors' tier on its execute span.
+            connection.execute_query(
+                "select o_c_id, count(*) from orders group by o_c_id"
+            )
+            trace = engine.tracer.traces[-1]
+            assert trace.find("execute").attributes["tier"] == tier
+            route = trace.find("route")
+            assert route.attributes["kind"] == "local-aggregate"
             assert route.attributes["shards"] == tuple(range(shards))
         else:
             assert route is None

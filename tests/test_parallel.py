@@ -5,7 +5,8 @@ deterministic error surfacing, stats, lifecycle), the parallel ≡ serial
 scatter ≡ unsharded equivalence property across both execution tiers in
 serial and thread pool modes (including theta-join /
 unknown-function fallback plans and a shard whose predicate raises
-mid-scatter), the sorted-run k-way merge at the gather node, out-of-order
+mid-scatter), single-table reads that run on the aggregate view without
+touching the pool, the sorted-run k-way merge at the gather node, out-of-order
 partial-aggregate merging, counter accounting, the engine facade wiring
 (``EngineBuilder.parallel``, ``Engine.stats()["sharding"]["parallel"]``,
 CLI ``--workers``), and the parallel-scatter trace breakdown.
@@ -184,22 +185,32 @@ class TestParallelEquivalence:
     def test_theta_join_fallback_plan_stays_exact(
         self, execution_mode, pool_mode
     ):
-        # Orders sharded, customers broadcast: the theta join scatters with
-        # no vectorized lowering (row-tier per shard under the pool).
+        # Orders sharded, customers broadcast: the theta join has no
+        # vectorized lowering.  Alone it runs once on the aggregate view,
+        # in unsharded order; under a grouped aggregate it runs per shard
+        # (row tier per shard, under the pool) and merges partials.
         reference = build_database(mode="interpreted")
         parallel = build_database(mode=execution_mode)
         parallel.shard_table("orders", "o_c_id", SHARDS)
         parallel.set_parallel(workers=2, mode=pool_mode)
-        plan = algebra.Join(
+        join = algebra.Join(
             algebra.Scan("orders", "o"),
             algebra.Scan("customers", "c"),
             BinaryOp("<", ColumnRef("o_c_id", "o"), ColumnRef("c_id", "c")),
         )
+        aggregate = algebra.Aggregate(
+            join,
+            (ColumnRef("c_id", "c"),),
+            (algebra.AggregateSpec("count", None, "n"),),
+        )
         try:
-            rows = parallel.execute_plan(plan).rows
-            expected = reference.execute_plan(plan).rows
+            rows = parallel.execute_plan(join).rows
+            assert rows == reference.execute_plan(join).rows
+            assert parallel.sharding_stats()["fallback"] == 1
+            rows = parallel.execute_plan(aggregate).rows
+            expected = reference.execute_plan(aggregate).rows
             assert as_multiset(rows) == as_multiset(expected)
-            assert parallel.sharding_stats()["scatter"] == 1
+            assert parallel.sharding_stats()["local"] == 1
         finally:
             parallel.close_parallel()
 
@@ -262,12 +273,58 @@ class TestParallelEquivalence:
             parallel.close_parallel()
 
 
+#: Reads over one sharded table (orders; customers stays unsharded): a
+#: filter on a non-shard-key column, a root Sort with many ties, and a
+#: join with a broadcast side.
+SINGLE_TABLE_READS = [
+    "select o_id, o_total from orders where o_total > 40",
+    "select o_id, o_c_id, o_total from orders order by o_c_id",
+    "select o_id, c_tier from orders join customers on o_c_id = c_id "
+    "where o_total > 60",
+]
+
+
+@pytest.mark.parametrize("mode", ["vectorized", "kernel", "interpreted"])
+class TestSingleTableReadsSkipThePool:
+    """Such reads run once over the aggregate view: no shard tasks reach
+    the pool, and rows come out in the unsharded engine's exact order."""
+
+    @pytest.mark.parametrize(
+        "sql", SINGLE_TABLE_READS, ids=["filter", "sort", "broadcast-join"]
+    )
+    def test_rows_match_unsharded_in_order_without_the_pool(
+        self, tier, sql, monkeypatch
+    ):
+        calls = []
+        run_tasks = ShardExecutorPool.run_tasks
+
+        def counting_run_tasks(pool, tasks):
+            calls.append(len(tasks))
+            return run_tasks(pool, tasks)
+
+        monkeypatch.setattr(ShardExecutorPool, "run_tasks", counting_run_tasks)
+        unsharded = build_database(mode=tier)
+        sharded = build_database(mode=tier)
+        sharded.shard_table("orders", "o_c_id", SHARDS)
+        sharded.set_parallel(workers=2, mode="thread")
+        try:
+            rows = sharded.execute_sql(sql).rows
+            assert rows == unsharded.execute_sql(sql).rows
+            assert calls == []
+            stats = sharded.sharding_stats()
+            assert stats["fallback"] == 1
+            assert stats["scatter"] == 0
+            assert stats["parallel"]["scatters"] == 0
+        finally:
+            sharded.close_parallel()
+
+
 class TestParallelAccounting:
     def test_thread_scatter_counts_every_shard_execution(self):
         serial = build_database(shards=SHARDS)
         parallel = build_database(shards=SHARDS)
         parallel.set_parallel(workers=2, mode="thread")
-        sql = "select o_id from orders where o_total > 40"
+        sql = "select o_c_id, count(*) as n from orders group by o_c_id"
         try:
             serial.execute_sql(sql)
             parallel.execute_sql(sql)
@@ -406,6 +463,10 @@ class TestMergeIndexed:
 
 # -- engine facade and CLI -----------------------------------------------------
 
+#: A scalar aggregate over the orders workload: it runs as per-shard
+#: partials, so it reaches the pool (a plain filter would not).
+SCATTERED_SQL = "select count(*) from orders where o_quantity > 2"
+
 
 class TestEngineFacade:
     def make_engine(self, **parallel) -> Engine:
@@ -420,7 +481,7 @@ class TestEngineFacade:
     def test_builder_parallel_surfaces_in_stats(self):
         engine = self.make_engine(workers=2)
         connection = engine.connect()
-        connection.execute_query("select * from orders where o_quantity > 2")
+        connection.execute_query(SCATTERED_SQL)
         stats = engine.stats()["sharding"]["parallel"]
         assert stats["mode"] == "thread"
         assert stats["workers"] == 2
@@ -430,7 +491,7 @@ class TestEngineFacade:
     def test_engine_close_shuts_the_pool_down(self):
         engine = self.make_engine(workers=2)
         connection = engine.connect()
-        connection.execute_query("select * from orders where o_quantity > 2")
+        connection.execute_query(SCATTERED_SQL)
         router = engine.database._router
         assert router._pool._threads is not None
         engine.close()
@@ -439,7 +500,7 @@ class TestEngineFacade:
     def test_builder_serial_mode_keeps_the_baseline(self):
         engine = self.make_engine(mode="serial")
         connection = engine.connect()
-        connection.execute_query("select * from orders where o_quantity > 2")
+        connection.execute_query(SCATTERED_SQL)
         assert engine.stats()["sharding"]["parallel"]["mode"] == "serial"
         engine.close()
 
@@ -485,7 +546,7 @@ class TestParallelScatterTracing:
     def test_route_span_carries_the_parallel_breakdown(self):
         engine = self.make_engine()
         connection = engine.connect()
-        connection.execute_query("select * from orders where o_quantity > 2")
+        connection.execute_query(SCATTERED_SQL)
         trace = engine.tracer.traces[-1]
         trace.check_accounting()  # informational sub-spans don't disturb it
         route = trace.find("route")
@@ -511,7 +572,7 @@ class TestParallelScatterTracing:
             .build()
         )
         connection = engine.connect()
-        connection.execute_query("select * from orders where o_quantity > 2")
+        connection.execute_query(SCATTERED_SQL)
         route = engine.tracer.traces[-1].find("route")
         assert route is not None
         assert all(child.name != "parallel" for child in route.children)

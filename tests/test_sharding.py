@@ -3,7 +3,7 @@
 Covers the :class:`~repro.db.sharding.ShardedTable` storage surface (the
 inherited aggregate view must behave exactly like an unsharded table, with
 rows additionally filed in their hash partitions), the three routing
-classes (single-shard routed / shard-local parallel / scatter-gather) with
+classes (single-shard routed / shard-local parallel / aggregate view) with
 their counters, partial-aggregate merging, statistics aggregation, the
 shard-aware prepared point-lookup fast path, and the engine-facade
 configuration (``EngineBuilder.shards`` and ``Engine.stats()["sharding"]``).
@@ -20,6 +20,10 @@ from repro.db.expressions import BinaryOp, ColumnRef, FunctionCall, Literal
 from repro.db.schema import Column, ColumnType, SchemaError
 from repro.db.sharding import ShardedTable, ShardingError, shard_index
 from repro.db.table import Table
+
+
+def row_key(row: dict) -> tuple:
+    return tuple(sorted(row.items()))
 
 
 def make_schema():
@@ -201,14 +205,17 @@ class TestDatabaseSharding:
             ]
         assert database.sharding_stats()["routed"] == 4
 
-    def test_scatter_gather_filter(self):
+    def test_filter_runs_on_the_aggregate_view(self):
         sharded = build_database(shards=4)
         unsharded = build_database()
-        sql = "select o_id, o_total from orders where o_total > 50 order by o_id"
+        sql = "select o_id, o_total from orders where o_total > 50"
+        # No ORDER BY: the aggregate view keeps global insertion order.
         assert (
             sharded.execute_sql(sql).rows == unsharded.execute_sql(sql).rows
         )
-        assert sharded.sharding_stats()["scatter"] == 1
+        stats = sharded.sharding_stats()
+        assert stats["fallback"] == 1
+        assert stats["scatter"] == 0
 
     def test_partial_aggregate_merge(self):
         sharded = build_database(shards=4)
@@ -344,12 +351,12 @@ class TestDatabaseSharding:
         unsharded = build_database()
         sql = (
             "select o.o_id, c.c_tier from orders o join customers c "
-            "on o.o_c_id = c.c_id order by o.o_id"
+            "on o.o_c_id = c.c_id"
         )
         assert (
             database.execute_sql(sql).rows == unsharded.execute_sql(sql).rows
         )
-        assert database.sharding_stats()["scatter"] == 1
+        assert database.sharding_stats()["fallback"] == 1
 
     def test_update_through_sharded_table(self):
         sharded = build_database(shards=4)
@@ -468,14 +475,14 @@ class TestDatabaseSharding:
         database = build_database()
         database.shard_table("orders", "o_c_id", 4)
         database.execute_sql("select o_id from orders where o_c_id = 3")
-        database.execute_sql("select * from orders where o_total > 50")
+        database.execute_sql("select count(*) from orders where o_total > 50")
         before = database.sharding_stats()
-        assert before["routed"] == 1 and before["scatter"] == 1
+        assert before["routed"] == 1 and before["local"] == 1
         tiers_before = database.execution_stats()["tiers"]["vectorized"]
-        assert tiers_before == 5  # 1 routed + 4 scatter shard executions
+        assert tiers_before == 5  # 1 routed + 4 partial-aggregate shards
         database.shard_table("customers", "c_id", 4)
         after = database.sharding_stats()
-        assert after["routed"] == 1 and after["scatter"] == 1
+        assert after["routed"] == 1 and after["local"] == 1
         assert database.execution_stats()["tiers"]["vectorized"] == 5
 
     def test_routing_counters_start_at_zero_without_sharding(self):
@@ -590,11 +597,9 @@ class TestFallbackSubtreesUnderSharding:
             BinaryOp("<", ColumnRef("o_c_id", "o"), ColumnRef("c_id", "c")),
         )
         rows = database.execute_plan(plan).rows
-        expected = reference.execute_plan(plan).rows
-        # Scatter-gather concatenates in shard order: same multiset.
-        key = lambda r: sorted(r.items())  # noqa: E731
-        assert sorted(rows, key=key) == sorted(expected, key=key)
-        assert database.sharding_stats()["scatter"] == 1
+        # One sharded scan: the aggregate view serves it in unsharded order.
+        assert rows == reference.execute_plan(plan).rows
+        assert database.sharding_stats()["fallback"] == 1
 
     def test_unknown_function_over_sharded_table_raises_identically(self):
         sharded = build_database(shards=4)
@@ -634,25 +639,31 @@ class TestFallbackSubtreesUnderSharding:
         )
 
     def test_fallback_reasons_fold_into_retired_totals_across_ddl(self):
-        # A scatter theta join (orders sharded, customers broadcast) has
-        # no vectorized lowering: the scatter probe records ``theta_join``
-        # on a per-shard executor before the row-tier scatter takes over.
-        # DDL (sharding another table) retires those executors, so their
-        # reasons must fold into the retired totals and post-DDL
-        # executions must merge on top.
+        # A partial aggregate over a theta join (orders sharded, customers
+        # broadcast): the theta join has no vectorized lowering, so each
+        # of the 4 shard executors records ``theta_join`` as a subtree
+        # fallback.  DDL (sharding another table) retires those
+        # executors, so their reasons must fold into the retired totals
+        # and post-DDL executions must merge on top.
         database = build_database()
         database.shard_table("orders", "o_c_id", 4)
-        plan = algebra.Join(
-            algebra.Scan("orders", "o"),
-            algebra.Scan("customers", "c"),
-            BinaryOp("<", ColumnRef("o_c_id", "o"), ColumnRef("c_id", "c")),
+        plan = algebra.Aggregate(
+            algebra.Join(
+                algebra.Scan("orders", "o"),
+                algebra.Scan("customers", "c"),
+                BinaryOp(
+                    "<", ColumnRef("o_c_id", "o"), ColumnRef("c_id", "c")
+                ),
+            ),
+            (ColumnRef("c_id", "c"),),
+            (algebra.AggregateSpec("count", None, "n"),),
         )
         database.execute_plan(plan)
         database.execute_plan(plan)
         live = database.execution_stats()["vectorized"]
-        assert live["fallback_reasons"] == {"theta_join": 2}
-        fallbacks_before = live["fallbacks"]
-        assert database.sharding_stats()["scatter"] == 2
+        assert live["fallback_reasons"] == {"theta_join": 2 * 4}
+        assert live["subtree_fallbacks"] == 2 * 4
+        assert database.sharding_stats()["local"] == 2
         # DDL: sharding another table reuses (and invalidates) the
         # router, folding live per-shard counters into retired totals.
         database.create_table(
@@ -665,14 +676,14 @@ class TestFallbackSubtreesUnderSharding:
         )
         database.shard_table("regions", "r_id", 2)
         retired = database.execution_stats()["vectorized"]
-        assert retired["fallback_reasons"] == {"theta_join": 2}
-        assert retired["fallbacks"] == fallbacks_before
+        assert retired["fallback_reasons"] == {"theta_join": 2 * 4}
+        assert retired["subtree_fallbacks"] == 2 * 4
         # Fresh per-shard executors after the DDL merge on top of the
         # retired totals rather than resetting them.
         database.execute_plan(plan)
         merged = database.execution_stats()["vectorized"]
-        assert merged["fallback_reasons"] == {"theta_join": 3}
-        assert merged["fallbacks"] == fallbacks_before + 1
+        assert merged["fallback_reasons"] == {"theta_join": 3 * 4}
+        assert merged["subtree_fallbacks"] == 3 * 4
 
 
 class TestEngineFacade:
@@ -750,8 +761,11 @@ class TestShardedExecutionModes:
     def test_tier_rows_identical_under_sharding(self, mode, tier):
         sharded = build_database(shards=4, mode=tier)
         reference = build_database(mode="interpreted")
+        # Exact order: routed and single-table plans keep unsharded order,
+        # and the shard-local ones sort on a total key.
         for sql in (
             "select * from orders where o_c_id = 3",
+            "select o_id, o_total from orders where o_total > 50",
             "select o_id, o_total from orders where o_total > 50 order by o_id, o_total",
             "select o_c_id, count(*), sum(o_total), avg(o_total) from orders "
             "group by o_c_id order by o_c_id",
@@ -760,10 +774,7 @@ class TestShardedExecutionModes:
         ):
             got = sharded.execute_sql(sql).rows
             want = reference.execute_sql(sql).rows
-            key = lambda r: sorted(  # noqa: E731
-                (k, repr(v)) for k, v in r.items()
-            )
-            assert sorted(got, key=key) == sorted(want, key=key), (mode, sql)
+            assert got == want, (mode, sql)
         codegen = sharded.execution_stats()["vectorized"]["codegen_executions"]
         assert (codegen > 0) == (mode == "vectorized")
 
@@ -772,12 +783,16 @@ class TestShardedExecutionModes:
         # Routed through the executor (a projection defeats the prepared
         # point-lookup fast path, which never enters the executor).
         database.execute_sql("select o_id from orders where o_c_id = 3")
-        database.execute_sql("select * from orders where o_total > 50")  # scatter
+        database.execute_sql(
+            "select o.o_id, c.c_tier from orders o join customers c "
+            "on o.o_c_id = c.c_id"
+        )  # co-partitioned join
         database.execute_sql(
             "select o_c_id, count(*) from orders group by o_c_id"
         )  # local partial aggregate
         stats = database.execution_stats()
-        # routed = 1 shard execution; scatter + partial agg = 4 shards each.
+        # routed = 1 shard execution; local join + partial agg = 4 shards
+        # each.
         assert stats["tiers"]["vectorized"] == 9
         assert stats["vectorized"]["executions"] == 9
         # Counters survive DDL-driven shard-executor invalidation.
@@ -811,12 +826,23 @@ class TestShardedExecutionModes:
 
     def test_vectorized_scatter_gathers_column_batches(self):
         database = build_database(shards=4, mode="vectorized")
+        reference = build_database(mode="interpreted")
+        # A co-partitioned join: codegen has no join pipeline, so every
+        # shard ships a ColumnBatch to the gather.
         plan = algebra.Select(
-            algebra.Scan("orders"),
-            BinaryOp(">", ColumnRef("o_total"), Literal(50)),
+            algebra.Join(
+                algebra.Scan("orders", "o"),
+                algebra.Scan("customers", "c"),
+                BinaryOp("=", ColumnRef("o_c_id", "o"), ColumnRef("c_id", "c")),
+            ),
+            BinaryOp(">", ColumnRef("o_total", "o"), Literal(50)),
         )
         rows = database._executor.execute(plan)
-        assert rows
+        assert sorted(map(row_key, rows)) == sorted(
+            map(row_key, reference._executor.execute(plan))
+        )
+        assert database.sharding_stats()["local"] == 1
+        assert database._router.last_execution_path == "kernel"
         router = database._router
         # Every shard executor served its batch from the vectorized tier.
         shard_executors = [
