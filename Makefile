@@ -38,9 +38,10 @@ test-columnar:
 
 # The parallel scatter-gather suites: worker-pool units, the parallel ≡
 # serial scatter ≡ unsharded equivalence sweep across codegen, kernel and
-# interpreted execution in serial and thread pool modes (fallback plans
-# and mid-scatter errors included), the single-table reads that run on the
-# aggregate view without touching the pool, sorted-run merging,
+# interpreted execution in serial and thread pool modes (fallback plans,
+# and errors raised inside partial aggregates mid-scatter), the
+# single-table reads that run on the aggregate view without touching the
+# pool, sorted-run merging of co-partitioned joins under a root Sort,
 # out-of-order partial-aggregate merging, counter accounting, and the
 # parallel trace breakdown.
 test-parallel:

@@ -897,12 +897,12 @@ class ShardRouter:
             spine.append(node)
             node = node.child
         if isinstance(node, algebra.Aggregate):
-            child_class = self._distribute(node.child)
-            if child_class is None or not child_class[1]:
+            names = self._distribute(node.child)
+            if not names:
                 return _FALLBACK
             return _Route(
                 "local-aggregate",
-                names=child_class[1],
+                names=names,
                 post=tuple(self._compile_spine(spine)),
                 partial=_PartialAggregate(node),
             )
@@ -923,12 +923,12 @@ class ShardRouter:
             post = (self._compile_sort(node),)
             merge = (plan, self._compile_merge_key(node))
             node = node.child
-        distributed = self._distribute(node)
-        if distributed is None:
+        names = self._distribute(node)
+        if names is None:
             return _FALLBACK
         return _Route(
             "local-join",
-            names=distributed[1],
+            names=names,
             node=node,
             post=post,
             merge=merge,
@@ -1137,22 +1137,22 @@ class ShardRouter:
 
     def _distribute(
         self, plan: algebra.PlanNode
-    ) -> Optional[tuple[str, frozenset[str]]]:
+    ) -> Optional[frozenset[str]]:
         """Classify a subtree for per-shard execution.
 
-        Returns ``("whole", frozenset())`` when the subtree references no
-        sharded tables (it may be executed intact inside every shard's
-        overlay — broadcast), ``("sharded", names)`` when substituting the
-        shards of ``names`` (all with equal shard counts) makes the union
-        of per-shard results equal the global result, or ``None`` when the
-        subtree cannot be distributed (the plan then falls back to the
-        aggregate view).
+        Returns an empty set when the subtree references no sharded tables
+        (it may be executed intact inside every shard's overlay —
+        broadcast), the sharded table ``names`` when substituting their
+        shards (all with equal shard counts) makes the union of per-shard
+        results equal the global result, or ``None`` when the subtree
+        cannot be distributed (the plan then falls back to the aggregate
+        view).
         """
         if isinstance(plan, algebra.Scan):
             table = self._tables.get(plan.table)
             if isinstance(table, ShardedTable):
-                return ("sharded", frozenset({plan.table}))
-            return ("whole", frozenset())
+                return frozenset({plan.table})
+            return frozenset()
         if isinstance(plan, (algebra.Select, algebra.Project)):
             return self._distribute(plan.child)
         if isinstance(plan, algebra.Join):
@@ -1163,24 +1163,21 @@ class ShardRouter:
             isinstance(self._tables.get(scan.table), ShardedTable)
             for scan in algebra.find_scans(plan)
         ):
-            return ("whole", frozenset())
+            return frozenset()
         return None
 
     def _distribute_join(
         self, plan: algebra.Join
-    ) -> Optional[tuple[str, frozenset[str]]]:
-        left = self._distribute(plan.left)
-        right = self._distribute(plan.right)
-        if left is None or right is None:
+    ) -> Optional[frozenset[str]]:
+        left_names = self._distribute(plan.left)
+        right_names = self._distribute(plan.right)
+        if left_names is None or right_names is None:
             return None
-        left_names, right_names = left[1], right[1]
-        if not left_names and not right_names:
-            return ("whole", frozenset())
         if not left_names or not right_names:
-            # One sharded side, one broadcast side: an inner join (any
-            # condition, including theta and cross) distributes over the
-            # union of the sharded side's partitions.
-            return ("sharded", left_names | right_names)
+            # At most one sharded side, the other broadcast: an inner join
+            # (any condition, including theta and cross) distributes over
+            # the union of the sharded side's partitions.
+            return left_names | right_names
         # Both sides sharded: only co-partitioned equi-joins on the shard
         # keys keep per-shard execution equivalent.
         condition = plan.condition
@@ -1203,7 +1200,7 @@ class ShardRouter:
             if self._binds_to_shard_key(
                 probe, plan.left, left_names
             ) and self._binds_to_shard_key(build, plan.right, right_names):
-                return ("sharded", names)
+                return names
         return None
 
     def _binds_to_shard_key(

@@ -3,11 +3,12 @@
 Covers the :class:`~repro.db.parallel.ShardExecutorPool` surface (modes,
 deterministic error surfacing, stats, lifecycle), the parallel ≡ serial
 scatter ≡ unsharded equivalence property across both execution tiers in
-serial and thread pool modes (including theta-join /
-unknown-function fallback plans and a shard whose predicate raises
+serial and thread pool modes (including theta-join fallback plans, and
+unknown-function and one-shard errors raised inside partial aggregates
 mid-scatter), single-table reads that run on the aggregate view without
-touching the pool, the sorted-run k-way merge at the gather node, out-of-order
-partial-aggregate merging, counter accounting, the engine facade wiring
+touching the pool, the sorted-run k-way merge of co-partitioned joins at
+the gather node, out-of-order partial-aggregate merging, counter
+accounting, the engine facade wiring
 (``EngineBuilder.parallel``, ``Engine.stats()["sharding"]["parallel"]``,
 CLI ``--workers``), and the parallel-scatter trace breakdown.
 """
@@ -29,9 +30,12 @@ SHARDS = 4
 
 QUERIES = [
     "select o_id, o_total from orders where o_total > 40",
-    "select o_id, o_total from orders where o_total > 40 "
-    "order by o_total desc, o_id",
-    "select o_id, o_c_id, o_total from orders order by o_c_id, o_id desc",
+    # Co-partitioned joins under a root Sort with total keys: shard-local
+    # joins whose sorted runs the thread pool k-way merges at the gather.
+    "select o_id, o_total, c_tier from orders join customers "
+    "on o_c_id = c_id where o_total > 40 order by o_total desc, o_id",
+    "select o_id, o_c_id, c_tier from orders join customers "
+    "on o_c_id = c_id order by c_tier, o_id desc",
     "select o_c_id, count(*) as n, sum(o_total) as s, avg(o_total) as a "
     "from orders group by o_c_id",
     "select count(*) as n, min(o_total) as lo, max(o_total) as hi "
@@ -214,24 +218,54 @@ class TestParallelEquivalence:
         finally:
             parallel.close_parallel()
 
+    @staticmethod
+    def grouped_sum(argument) -> algebra.Aggregate:
+        """``sum(argument)`` per ``o_c_id``: a partial aggregate, so every
+        shard evaluates ``argument`` in its own task (on the pool in thread
+        mode) and an error surfaces from inside the scatter."""
+        return algebra.Aggregate(
+            algebra.Scan("orders"),
+            (ColumnRef("o_c_id"),),
+            (algebra.AggregateSpec("sum", argument, "s"),),
+        )
+
+    @staticmethod
+    def counting_pool(monkeypatch) -> list:
+        """Record the task count of every ``run_tasks`` call."""
+        calls: list = []
+        run_tasks = ShardExecutorPool.run_tasks
+
+        def counting_run_tasks(pool, tasks):
+            calls.append(len(tasks))
+            return run_tasks(pool, tasks)
+
+        monkeypatch.setattr(ShardExecutorPool, "run_tasks", counting_run_tasks)
+        return calls
+
+    def assert_scattered(self, database, pool_mode, calls) -> None:
+        """The failing plan took the per-shard route (and, in thread mode,
+        the pool) rather than the aggregate view."""
+        assert database._router.last_route["kind"] == "local-aggregate"
+        assert database.sharding_stats()["fallback"] == 0
+        if pool_mode == "thread":
+            assert calls == [SHARDS]
+        else:
+            assert calls == []
+
     def test_unknown_function_raises_identically_once(
-        self, execution_mode, pool_mode
+        self, execution_mode, pool_mode, monkeypatch
     ):
         reference = build_database(mode="interpreted")
         parallel = build_database(shards=SHARDS, mode=execution_mode)
         parallel.set_parallel(workers=2, mode=pool_mode)
-        plan = algebra.Project(
-            algebra.Scan("orders"),
-            (
-                algebra.OutputColumn(
-                    FunctionCall("no_such_function", (ColumnRef("o_id"),)),
-                    "out",
-                ),
-            ),
+        calls = self.counting_pool(monkeypatch)
+        plan = self.grouped_sum(
+            FunctionCall("no_such_function", (ColumnRef("o_id"),))
         )
         try:
             with pytest.raises(Exception) as parallel_error:
                 parallel.execute_plan(plan)
+            self.assert_scattered(parallel, pool_mode, calls)
             with pytest.raises(Exception) as reference_error:
                 reference.execute_plan(plan)
             assert str(parallel_error.value) == str(reference_error.value)
@@ -243,32 +277,34 @@ class TestParallelEquivalence:
         finally:
             parallel.close_parallel()
 
-    def test_error_on_one_shard_surfaces_once(self, execution_mode, pool_mode):
+    def test_error_on_one_shard_surfaces_once(
+        self, execution_mode, pool_mode, monkeypatch
+    ):
         # 1 / (o_c_id - 3) raises only for rows with o_c_id == 3, which all
         # hash to a single shard; the other shards complete fine.
+        unsharded = build_database(mode=execution_mode)
         serial = build_database(shards=SHARDS, mode=execution_mode)
         parallel = build_database(shards=SHARDS, mode=execution_mode)
         parallel.set_parallel(workers=2, mode=pool_mode)
-        plan = algebra.Project(
-            algebra.Scan("orders"),
-            (
-                algebra.OutputColumn(
-                    BinaryOp(
-                        "/",
-                        Literal(1),
-                        BinaryOp("-", ColumnRef("o_c_id"), Literal(3)),
-                    ),
-                    "out",
-                ),
-            ),
+        calls = self.counting_pool(monkeypatch)
+        plan = self.grouped_sum(
+            BinaryOp(
+                "/",
+                Literal(1),
+                BinaryOp("-", ColumnRef("o_c_id"), Literal(3)),
+            )
         )
         try:
-            with pytest.raises(Exception) as serial_error:
-                serial.execute_plan(plan)
             with pytest.raises(Exception) as parallel_error:
                 parallel.execute_plan(plan)
-            assert type(parallel_error.value) is type(serial_error.value)
-            assert str(parallel_error.value) == str(serial_error.value)
+            self.assert_scattered(parallel, pool_mode, calls)
+            with pytest.raises(Exception) as serial_error:
+                serial.execute_plan(plan)
+            with pytest.raises(Exception) as unsharded_error:
+                unsharded.execute_plan(plan)
+            for error in (serial_error, unsharded_error):
+                assert type(parallel_error.value) is type(error.value)
+                assert str(parallel_error.value) == str(error.value)
         finally:
             parallel.close_parallel()
 
@@ -387,32 +423,49 @@ class TestSortedRunMerge:
         # Stable: ties keep run (= shard) order, like concat-then-sort.
         assert merged == expected
 
+    @staticmethod
+    def assert_merged_on_the_pool(database) -> None:
+        """The Sort ran as a co-partitioned join's sorted-run merge: one
+        shard-local execution, one pool scatter."""
+        stats = database.sharding_stats()
+        assert stats["local"] == 1
+        assert stats["fallback"] == 0
+        assert stats["parallel"]["scatters"] == 1
+
     def test_parallel_sort_is_row_identical_including_ties(self):
-        # o_c_id repeats every 10 orders: lots of ties on the first key.
+        # c_tier takes 3 values over 120 joined rows: lots of ties on the
+        # first key, and o_id makes the whole key total.
         unsharded = build_database()
         serial = build_database(shards=SHARDS)
         parallel = build_database(shards=SHARDS)
         parallel.set_parallel(workers=2, mode="thread")
         sql = (
-            "select o_id, o_c_id, o_total from orders "
-            "order by o_c_id, o_total desc, o_id"
+            "select o_id, o_c_id, o_total, c_tier from orders join customers "
+            "on o_c_id = c_id order by c_tier, o_total desc, o_id"
         )
         try:
             expected = unsharded.execute_sql(sql).rows
             assert serial.execute_sql(sql).rows == expected
             assert parallel.execute_sql(sql).rows == expected
+            self.assert_merged_on_the_pool(parallel)
         finally:
             parallel.close_parallel()
 
     def test_descending_tie_order_matches_serial(self):
+        # One descending key with ties: tie order is shard order on both
+        # the serial concat-then-sort and the parallel k-way merge.
         serial = build_database(shards=SHARDS)
         parallel = build_database(shards=SHARDS)
         parallel.set_parallel(workers=2, mode="thread")
-        sql = "select o_id, o_c_id from orders order by o_c_id desc"
+        sql = (
+            "select o_id, c_tier from orders join customers "
+            "on o_c_id = c_id order by c_tier desc"
+        )
         try:
             assert (
                 parallel.execute_sql(sql).rows == serial.execute_sql(sql).rows
             )
+            self.assert_merged_on_the_pool(parallel)
         finally:
             parallel.close_parallel()
 
